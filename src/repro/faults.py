@@ -40,6 +40,7 @@ import os
 import random
 import threading
 import time
+import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -363,12 +364,16 @@ def decide(site: str) -> FaultRule | None:
 # file but never publishes it.  Both leave exactly the debris a real
 # crash at that instant would.
 
-def atomic_write_bytes(path, data: bytes, site: str = "",
-                       tmp=None) -> None:
-    """Write ``data`` to ``path`` atomically (``tmp`` + ``os.replace``),
-    subject to any armed fault at ``site``."""
+def atomic_write_bytes(path, data: bytes, site: str = "") -> None:
+    """Write ``data`` to ``path`` atomically (temp file + ``os.replace``),
+    subject to any armed fault at ``site``.
+
+    The temp name is unique per call: concurrent writers of one path
+    (threads sharing a store, processes or hosts sharing a directory)
+    must never rename each other's temp file away.
+    """
     path = os.fspath(path)
-    tmp = os.fspath(tmp) if tmp is not None else path + ".tmp"
+    tmp = f"{path}.{uuid.uuid4().hex[:12]}.tmp"
     rule = _decide(site)
     if rule is not None and rule.kind == FAULT_TORN_TMP:
         with open(tmp, "wb") as handle:
@@ -383,15 +388,13 @@ def atomic_write_bytes(path, data: bytes, site: str = "",
     os.replace(tmp, path)
 
 
-def atomic_write_text(path, text: str, site: str = "", tmp=None,
+def atomic_write_text(path, text: str, site: str = "",
                       encoding: str = "utf-8") -> None:
-    atomic_write_bytes(path, text.encode(encoding), site=site, tmp=tmp)
+    atomic_write_bytes(path, text.encode(encoding), site=site)
 
 
-def atomic_write_json(path, payload, site: str = "", tmp=None,
-                      **dumps_kwargs) -> None:
-    atomic_write_text(path, json.dumps(payload, **dumps_kwargs),
-                      site=site, tmp=tmp)
+def atomic_write_json(path, payload, site: str = "", **dumps_kwargs) -> None:
+    atomic_write_text(path, json.dumps(payload, **dumps_kwargs), site=site)
 
 
 def append_line(handle, line: str, site: str = "") -> None:

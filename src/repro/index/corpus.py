@@ -2,44 +2,31 @@
 
 On-disk layout (all JSON, human-greppable):
 
-* ``index_meta.json`` — ``{"version": 1}``; foreign versions are
-  refused with a one-line ``ValueError`` (the archive/job-store guard
-  pattern).
-* ``segments/seg-<writer>.jsonl`` — append-only entry journal.  Every
-  :class:`CorpusIndex` instance appends to its *own* segment (a fresh
-  writer id per open), so any number of threads, processes or hosts
-  sharing the directory never contend on a file; readers merge all
-  segments at open.  Corrupt or truncated lines are skipped (counted in
-  :meth:`stats`) — a crashed writer costs at most its final line.
+* ``index_meta.json`` + ``segments/seg-<writer>.jsonl`` — the entry
+  journal, a :class:`~repro.segment_log.SegmentLog`.
 * ``bodies/<exact-digest>.json`` — recorded body op lists
   (:mod:`repro.core.body_cache`), written atomically, first writer
   wins (contents are digest-determined, so writers agree by
   construction).
-
-:meth:`compact` folds all segments into one, atomically.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import os
 import threading
-import uuid
 from dataclasses import asdict, dataclass
 
 from repro import faults
 from repro.core.body_cache import BODY_OPS_VERSION, exact_method_digest
 from repro.index.digests import MethodDigests, class_fuzzy_digest, method_digests
 from repro.index.fuzzy import fuzzy_distance
+from repro.segment_log import SegmentLog
 
 INDEX_FORMAT_VERSION = 1
 
 _META_FILE = "index_meta.json"
-_SEGMENTS_DIR = "segments"
 _BODIES_DIR = "bodies"
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -90,7 +77,6 @@ class CorpusIndex:
 
     def __init__(self, root: str | os.PathLike, create: bool = True) -> None:
         self.root = os.fspath(root)
-        self.segments_dir = os.path.join(self.root, _SEGMENTS_DIR)
         self.bodies_dir = os.path.join(self.root, _BODIES_DIR)
         self._lock = threading.Lock()
         self._entries: list[IndexEntry] = []
@@ -99,74 +85,17 @@ class CorpusIndex:
         self._by_norm: dict[str, list[IndexEntry]] = {}
         self._body_memo: dict[str, list] = {}
         self._lsh = None
-        self.corrupt_lines = 0
-        self._writer_id = uuid.uuid4().hex[:12]
-        self._segment_handle = None
-        self._open(create)
-
-    # -- open / meta --------------------------------------------------------
-
-    def _open(self, create: bool) -> None:
-        meta_path = os.path.join(self.root, _META_FILE)
-        if not os.path.isfile(meta_path):
-            if not create:
-                raise FileNotFoundError(
-                    f"no corpus index at {self.root!r} "
-                    f"(missing {_META_FILE})"
-                )
-            os.makedirs(self.segments_dir, exist_ok=True)
-            os.makedirs(self.bodies_dir, exist_ok=True)
-            tmp = meta_path + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump({"version": INDEX_FORMAT_VERSION}, fh)
-            os.replace(tmp, meta_path)
-            return
-        try:
-            with open(meta_path, encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(
-                f"corpus index at {self.root!r} has an unreadable "
-                f"{_META_FILE}: {exc}"
-            ) from exc
-        version = meta.get("version") if isinstance(meta, dict) else None
-        if version != INDEX_FORMAT_VERSION:
-            raise ValueError(
-                f"corpus index at {self.root!r} has format version "
-                f"{version!r}; this build supports {INDEX_FORMAT_VERSION}"
-            )
-        os.makedirs(self.segments_dir, exist_ok=True)
+        self._log = SegmentLog(
+            self.root, name="corpus index", site="index",
+            meta_file=_META_FILE, version=INDEX_FORMAT_VERSION,
+            required=("kind", "app_id", "class_desc"), create=create)
         os.makedirs(self.bodies_dir, exist_ok=True)
-        self._load_segments()
+        for data in self._log.records():
+            self._absorb(IndexEntry.from_dict(data))
 
-    def _load_segments(self) -> None:
-        for name in sorted(os.listdir(self.segments_dir)):
-            if not name.endswith(".jsonl"):
-                continue
-            path = os.path.join(self.segments_dir, name)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    for line in fh:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        self._absorb_line(line)
-            except OSError:
-                self.corrupt_lines += 1
-
-    def _absorb_line(self, line: str) -> None:
-        try:
-            data = json.loads(line)
-        except ValueError:
-            self.corrupt_lines += 1
-            return
-        if not isinstance(data, dict) \
-                or data.get("v") != INDEX_FORMAT_VERSION \
-                or "kind" not in data or "app_id" not in data \
-                or "class_desc" not in data:
-            self.corrupt_lines += 1
-            return
-        self._absorb(IndexEntry.from_dict(data))
+    @property
+    def corrupt_lines(self) -> int:
+        return self._log.corrupt_lines
 
     def _absorb(self, entry: IndexEntry) -> bool:
         """Index an entry in memory; False when it was a duplicate."""
@@ -205,30 +134,17 @@ class CorpusIndex:
 
     # -- writes -------------------------------------------------------------
 
-    def _segment(self):
-        if self._segment_handle is None:
-            path = os.path.join(self.segments_dir,
-                                f"seg-{self._writer_id}.jsonl")
-            self._segment_handle = open(path, "a", encoding="utf-8")
-        return self._segment_handle
-
     def add_entry(self, entry: IndexEntry) -> bool:
         """Absorb + journal one entry; False when already present."""
         with self._lock:
             if not self._absorb(entry):
                 return False
-            handle = self._segment()
-            faults.append_line(
-                handle, json.dumps(entry.to_dict(), sort_keys=True) + "\n",
-                site="index.segment.append")
-            handle.flush()
+            self._log.append(entry.to_dict())
             return True
 
     def close(self) -> None:
         with self._lock:
-            if self._segment_handle is not None:
-                self._segment_handle.close()
-                self._segment_handle = None
+            self._log.close()
 
     # -- body store (the reassembler's get_body/put_body duck type) ---------
 
@@ -262,7 +178,7 @@ class CorpusIndex:
             return  # first writer won; contents are digest-determined
         faults.atomic_write_json(
             path, {"version": BODY_OPS_VERSION, "ops": ops},
-            site="index.body.write", tmp=f"{path}.{self._writer_id}.tmp")
+            site="index.body.write")
 
     # -- registration (pipeline integration) --------------------------------
 
@@ -394,10 +310,8 @@ class CorpusIndex:
         try:
             bodies = sum(1 for name in os.listdir(self.bodies_dir)
                          if name.endswith(".json"))
-            segments = sum(1 for name in os.listdir(self.segments_dir)
-                           if name.endswith(".jsonl"))
         except OSError:
-            bodies = segments = 0
+            bodies = 0
         return {
             "version": INDEX_FORMAT_VERSION,
             "methods": len(methods),
@@ -406,38 +320,14 @@ class CorpusIndex:
             "exact_digests": exact,
             "norm_digests": norm,
             "bodies": bodies,
-            "segments": segments,
+            "segments": self._log.segment_count(),
             "corrupt_lines": self.corrupt_lines,
         }
 
     # -- maintenance --------------------------------------------------------
 
     def compact(self) -> int:
-        """Fold every segment into one, atomically; returns entry count.
-
-        The merged segment is written to a temp file and renamed into
-        place before the old segments are removed, so a reader opening
-        mid-compaction sees either layout, never neither.
-        """
+        """Fold every segment into one, atomically; returns entry count."""
         with self._lock:
-            if self._segment_handle is not None:
-                self._segment_handle.close()
-                self._segment_handle = None
-            old = [name for name in os.listdir(self.segments_dir)
-                   if name.endswith(".jsonl")]
-            merged = f"seg-compact-{uuid.uuid4().hex[:12]}.jsonl"
-            payload = "".join(
-                json.dumps(entry.to_dict(), sort_keys=True) + "\n"
-                for entry in self._entries)
-            faults.atomic_write_text(
-                os.path.join(self.segments_dir, merged), payload,
-                site="index.compact")
-            for name in old:
-                if name == merged:
-                    continue
-                try:
-                    os.unlink(os.path.join(self.segments_dir, name))
-                except OSError:
-                    logger.warning("compact: could not remove segment %s",
-                                   name)
+            self._log.compact(entry.to_dict() for entry in self._entries)
             return len(self._entries)

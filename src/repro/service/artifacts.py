@@ -72,8 +72,7 @@ class ArtifactStore:
         if os.path.exists(path):
             return digest
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        faults.atomic_write_bytes(path, data, site="artifacts.put",
-                                  tmp=f"{path}.{os.getpid()}.tmp")
+        faults.atomic_write_bytes(path, data, site="artifacts.put")
         return digest
 
     # -- read ----------------------------------------------------------------

@@ -17,24 +17,27 @@ run it over *corpora*.  This module is that production posture:
   submission order and carries throughput aggregates (apps/sec, cache
   hit rate, p50/p95 latency and queue wait).
 
-Since the job-server redesign, ``reveal_batch`` is a façade:
-``thread``/``serial`` corpora run through an ephemeral
-:class:`~repro.service.server.RevealServer` (``submit_many`` +
-``await_many``), which is also where incremental submission, priorities,
-cancellation and the unified event stream live for callers that want
-more than call-and-wait.
+``reveal_batch`` is a façade: cache hits resolve in the calling
+thread and the misses of every backend run through an ephemeral
+:class:`~repro.service.server.RevealServer`, which is also where
+incremental submission, priorities, cancellation and the unified event
+stream live for callers that want more than call-and-wait.  Every front
+end — that server, the fleet's
+:class:`~repro.service.worker.RevealWorker` and :meth:`reveal_one` —
+runs a job through the one :meth:`BatchRevealService.run_job`.
 
 Backend notes
 -------------
 
 The ``process`` backend serialises each APK to bytes and rebuilds the
-pipeline in the worker, so it only ships jobs it can reconstruct there:
-no ``drive`` callable (closures do not pickle); the device profile —
-custom or registry — travels whole inside ``RevealConfig.to_dict()``.
-Jobs with a drive transparently run in the parent while the pool
-works.  On platforms whose process start method is not ``fork``,
-registered native libraries are not inherited by workers — thread
-remains the safe default everywhere.
+pipeline in a worker process of a pool the service owns, so it only
+ships jobs it can reconstruct there: no ``drive`` callable (closures do
+not pickle); the device profile — custom or registry — travels whole
+inside ``RevealConfig.to_dict()``.  Jobs with a drive run in the
+calling thread.  Shipped jobs publish no stage or wave events (those
+happen in the worker process).  On platforms whose process start method
+is not ``fork``, registered native libraries are not inherited by
+workers — thread remains the safe default everywhere.
 """
 
 from __future__ import annotations
@@ -44,18 +47,27 @@ import os
 import time
 import traceback
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from repro.core.config import RevealConfig, resolve_config
 from repro.core.pipeline import DexLego
 from repro.errors import StageError, VerificationError
 from repro.runtime.apk import Apk
 from repro.runtime.device import DeviceProfile
-from repro.service.api import SubmitAPI, warn_deprecated
+from repro.service.api import SubmitAPI
 from repro.service.cache import RevealCache, reveal_cache_key
-from repro.service.jobs import PRIORITY_NORMAL
+from repro.service.events import (
+    EVENT_CACHE_HIT,
+    EVENT_CLUSTER,
+    EVENT_DEGRADED,
+    EVENT_INDEX,
+    EVENT_STAGE,
+    EVENT_WAVE,
+)
+from repro.service.jobs import PRIORITY_NORMAL, JobStore
 from repro.service.outcomes import (
     STATUS_ERROR,
     STATUS_VERIFY_FAILED,
@@ -121,6 +133,17 @@ class RevealJob:
     @property
     def cacheable(self) -> bool:
         return self.drive is None or bool(self.cache_salt)
+
+    @classmethod
+    def from_record(cls, record: dict) -> "RevealJob":
+        """Rebuild a job journalled in a :class:`JobStore` record."""
+        return cls(
+            app_id=record["app_id"],
+            apk=JobStore.decode_apk(record["apk_b64"]),
+            device=JobStore.decode_device(record.get("device")),
+            collect_only=record.get("collect_only", False),
+            cache_salt=record.get("cache_salt", ""),
+        )
 
 
 class BatchRevealService(SubmitAPI):
@@ -196,6 +219,11 @@ class BatchRevealService(SubmitAPI):
         # so call-and-wait corpora never leave a pool lingering.
         self._submit_server = None
         self._submit_lock = threading.Lock()
+        # The process backend's worker pool: created by the first
+        # shipped job, shut down at the end of each reveal_batch and by
+        # close().
+        self._pool = None
+        self._pool_lock = threading.Lock()
 
     # Attribute views kept for callers that read the old constructor
     # fields off the instance.
@@ -323,20 +351,61 @@ class BatchRevealService(SubmitAPI):
     # -- single job ---------------------------------------------------------
 
     def reveal_one(self, job: RevealJob | Apk) -> RevealOutcome:
-        """Run (or fetch) one job; never raises for per-app failures.
+        """Run (or fetch) one job; never raises for per-app failures."""
+        return self.run_job(self._coerce(job))
+
+    def run_job(self, job: RevealJob, *, bus=None, job_id: str = "",
+                cache_key: str | None = None) -> RevealOutcome:
+        """The one job body: cache → pipeline → events.
 
         Routed through :meth:`RevealCache.get_or_compute`, so two
         threads revealing the same bytes under the same config run one
-        pipeline and share the admitted record.
+        pipeline.  The pipeline runs in the calling thread, or — a
+        shippable job on the ``process`` backend — in the service's
+        process pool.  With a ``bus``, the job's stage, wave and
+        cache-hit events are published under ``job_id``, then its
+        index, cluster and degraded summaries (still before the
+        caller's terminal event).  ``cache_key`` is a precomputed key
+        (``""``: uncacheable) for callers that already hashed the APK.
         """
-        job = self._coerce(job)
-        if not job.cacheable:
-            return self._run_job(job, "")
-        key = self.job_cache_key(job)
-        outcome, hit = self.cache.get_or_compute(
-            key, lambda: self._run_job(job, key))
+        def publish(kind: str, payload: dict) -> None:
+            if bus is not None:
+                bus.publish(kind, job_id, job.app_id, payload=payload)
+
+        def on_stage(event) -> None:
+            publish(EVENT_STAGE, {
+                "stage": event.stage,
+                "duration_s": event.duration_s,
+                "ok": event.ok,
+                "error": event.error,
+            })
+
+        def on_wave(snapshot: dict) -> None:
+            publish(EVENT_WAVE, dict(snapshot))
+
+        key = cache_key
+        if key is None:
+            key = self.job_cache_key(job) if job.cacheable else ""
+
+        def compute() -> RevealOutcome:
+            if self.backend == "process" and self._process_safe(job):
+                return self._ship(job, key)
+            return self._run_job(job, key, observer=on_stage,
+                                 wave_observer=on_wave)
+
+        outcome, hit = self.cache.get_or_compute(key, compute)
         if hit:
             outcome.app_id = job.app_id  # content-addressed, not name-addressed
+            publish(EVENT_CACHE_HIT, {"cache_key": key})
+        # Pre-terminal summaries, so per-job lifecycle order is
+        # started → index → cluster → degraded → done and dashboards
+        # never race the outcome.
+        if outcome.index_stats:
+            publish(EVENT_INDEX, dict(outcome.index_stats))
+        if outcome.cluster_stats:
+            publish(EVENT_CLUSTER, dict(outcome.cluster_stats))
+        if outcome.degraded:
+            publish(EVENT_DEGRADED, {"subsystems": list(outcome.degraded)})
         return outcome
 
     # -- batch --------------------------------------------------------------
@@ -377,11 +446,13 @@ class BatchRevealService(SubmitAPI):
         return [] if server is None else server.handles()
 
     def close(self, drain: bool = True) -> None:
-        """Shut down the internal submit server (no-op without one)."""
+        """Shut down the internal submit server and the process pool
+        (no-op without them)."""
         with self._submit_lock:
             server, self._submit_server = self._submit_server, None
         if server is not None:
             server.close(drain=drain)
+        self._shutdown_pool()
 
     def __enter__(self) -> "BatchRevealService":
         return self
@@ -389,94 +460,45 @@ class BatchRevealService(SubmitAPI):
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close(drain=exc_type is None)
 
-    # -- deprecated legacy delegates ----------------------------------------
-
-    def submit_all(self, jobs: Iterable[RevealJob | Apk], server=None,
-                   priority=None) -> list:
-        """Deprecated: ``submit_many`` (on a server, or on the service
-        itself) is the surviving spelling.  The pre-protocol form took
-        the target server positionally; that shape still works."""
-        warn_deprecated("BatchRevealService.submit_all", "submit_many")
-        target = self if server is None else server
-        if priority is None:
-            return target.submit_many(jobs)
-        return target.submit_many(jobs, priority=priority)
-
-    def await_all(self, handles=None, timeout=None) -> list[RevealOutcome]:
-        """Deprecated alias of :meth:`await_many` (handles may come
-        from any server — only ``handle.wait`` is used)."""
-        warn_deprecated("BatchRevealService.await_all", "await_many")
-        return self.await_many(handles, timeout=timeout)
-
     def reveal_batch(self, jobs: Iterable[RevealJob | Apk]) -> BatchReport:
         """Run a corpus; outcomes come back in submission order.
 
         A thin façade over the job server: cache hits resolve in the
         calling thread (a warm corpus never pays for queueing), then
-        the misses run as ``submit`` + ``wait`` against an
-        ephemeral :class:`~repro.service.server.RevealServer`.  The
-        ``process`` backend keeps its dedicated pool — process workers
-        rebuild the pipeline from picklable primitives, which is not a
-        thread-pool concern — and the ``serial`` backend is a
-        one-worker server.
+        the misses run as ``submit`` + ``wait`` against an ephemeral
+        :class:`~repro.service.server.RevealServer` — one worker for
+        the ``serial`` backend.
         """
         job_list = [self._coerce(j) for j in jobs]
         started = time.perf_counter()
-        if self.backend == "process" and job_list:
-            outcomes = self._reveal_batch_pooled(job_list)
-        else:
-            slots: list[RevealOutcome | None] = [None] * len(job_list)
-            # The key hashes every DEX and asset — compute it once per
-            # job and hand it to the server with the submission.
-            pending: list[tuple[int, RevealJob, str]] = []
-            for index, job in enumerate(job_list):
-                key = self.job_cache_key(job) if job.cacheable else ""
-                cached = self._lookup(job, key)
-                if cached is not None:
-                    slots[index] = cached
-                else:
-                    pending.append((index, job, key))
-            if pending:
-                server = self.server()
-                try:
-                    handles = [server.submit(job, cache_key=key)
-                               for _, job, key in pending]
-                    for (index, _job, _key), handle in zip(pending, handles):
-                        slots[index] = handle.wait()
-                finally:
-                    server.close()
-            outcomes = [o for o in slots if o is not None]
+        slots: list[RevealOutcome | None] = [None] * len(job_list)
+        # The key hashes every DEX and asset — compute it once per job
+        # and hand it to the server with the submission.
+        pending: list[tuple[int, RevealJob, str]] = []
+        for index, job in enumerate(job_list):
+            key = self.job_cache_key(job) if job.cacheable else ""
+            cached = self.cache.get(key) if key else None
+            if cached is not None:
+                cached.app_id = job.app_id
+                slots[index] = cached
+            else:
+                pending.append((index, job, key))
+        if pending:
+            server = self.server()
+            try:
+                handles = [server.submit(job, cache_key=key)
+                           for _, job, key in pending]
+                for (index, _job, _key), handle in zip(pending, handles):
+                    slots[index] = handle.wait()
+            finally:
+                server.close()
+                self._shutdown_pool()
         return BatchReport(
-            outcomes=outcomes,
+            outcomes=[o for o in slots if o is not None],
             wall_time_s=time.perf_counter() - started,
             workers=self.workers,
             backend=self.backend,
         )
-
-    def _reveal_batch_pooled(
-            self, job_list: list[RevealJob]) -> list[RevealOutcome]:
-        """The pre-server batch body, kept for the process backend."""
-        outcomes: list[RevealOutcome | None] = [None] * len(job_list)
-
-        # The key hashes every DEX and asset — compute it once per job.
-        pending: list[tuple[int, RevealJob, str]] = []
-        for index, job in enumerate(job_list):
-            key = self.job_cache_key(job) if job.cacheable else ""
-            cached = self._lookup(job, key)
-            if cached is not None:
-                outcomes[index] = cached
-            else:
-                pending.append((index, job, key))
-
-        if pending:
-            if self.workers <= 1 or len(pending) == 1:
-                for index, job, key in pending:
-                    outcomes[index] = self._run_job(job, key)
-            else:
-                self._run_pool(pending, outcomes)
-            for index, job, _key in pending:
-                self._store(job, outcomes[index])
-        return [o for o in outcomes if o is not None]
 
     # -- internals ----------------------------------------------------------
 
@@ -486,73 +508,42 @@ class BatchRevealService(SubmitAPI):
             return job
         return RevealJob(app_id=job.package, apk=job)
 
-    def _lookup(self, job: RevealJob, key: str) -> RevealOutcome | None:
-        if not job.cacheable:
-            return None
-        cached = self.cache.get(key)
-        if cached is not None:
-            cached.app_id = job.app_id  # key is content-addressed, not name-addressed
-        return cached
-
-    def _store(self, job: RevealJob, outcome: RevealOutcome | None) -> None:
-        if outcome is not None and job.cacheable and not outcome.cache_hit:
-            self.cache.put(outcome.cache_key, outcome)
-
-    def _run_pool(
-        self,
-        pending: Sequence[tuple[int, RevealJob, str]],
-        outcomes: list[RevealOutcome | None],
-    ) -> None:
-        shippable: list[tuple[int, RevealJob, str]] = []
-        local: list[tuple[int, RevealJob, str]] = []
-        if self.backend == "process":
-            for entry in pending:
-                target = shippable if self._process_safe(entry[1]) else local
-                target.append(entry)
-        else:
-            shippable = list(pending)
-
-        executor: Executor | None = None
-        if shippable:
-            max_workers = min(self.workers, len(shippable))
-            if self.backend == "process":
-                executor = ProcessPoolExecutor(max_workers=max_workers)
-            else:
-                executor = ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="reveal"
-                )
+    def _ship(self, job: RevealJob, key: str) -> RevealOutcome:
+        """Run one job in the process pool; a dead worker costs this
+        job an ``error`` outcome, never the caller."""
+        args = (job.app_id, job.apk.to_bytes(),
+                self.config_for(job).to_dict(), job.collect_only, key)
+        pool = None
         try:
-            futures = {}
-            for index, job, key in shippable:
-                if self.backend == "process":
-                    future = executor.submit(
-                        _process_reveal,
-                        job.app_id,
-                        job.apk.to_bytes(),
-                        self.config_for(job).to_dict(),
-                        job.collect_only,
-                        key,
-                    )
-                else:
-                    future = executor.submit(self._run_job, job, key)
-                futures[future] = (index, job, key)
-            # Jobs the process backend cannot pickle (custom drive,
-            # unregistered device) run in the parent while the pool works.
-            for index, job, key in local:
-                outcomes[index] = self._run_job(job, key)
-            for future, (index, job, key) in futures.items():
-                try:
-                    outcomes[index] = future.result()
-                except Exception as exc:  # worker death must not kill the batch
-                    outcomes[index] = RevealOutcome(
-                        app_id=job.app_id,
-                        status=STATUS_ERROR,
-                        error=f"{type(exc).__name__}: {exc}",
-                        cache_key=key,
-                    )
-        finally:
-            if executor is not None:
-                executor.shutdown()
+            # Submitted under the lock, so a concurrent _shutdown_pool
+            # either precedes this (and a fresh pool is made) or waits
+            # for the job.
+            with self._pool_lock:
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.workers)
+                pool = self._pool
+                future = pool.submit(_process_reveal, *args)
+            return future.result()
+        except Exception as exc:
+            if isinstance(exc, BrokenProcessPool):
+                # A broken pool refuses every later job; the next
+                # shipped job starts a fresh one.
+                with self._pool_lock:
+                    if self._pool is pool:
+                        self._pool = None
+            return RevealOutcome(
+                app_id=job.app_id,
+                status=STATUS_ERROR,
+                error=f"{type(exc).__name__}: {exc}",
+                cache_key=key,
+            )
+
+    def _shutdown_pool(self) -> None:
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     def _process_safe(self, job: RevealJob) -> bool:
         """Can this job ship to a process worker?  Only a ``drive``

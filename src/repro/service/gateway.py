@@ -255,12 +255,9 @@ class RevealGateway:
 
     def remember_idempotency(self, tenant: str, key: str,
                              job_id: str) -> None:
-        path = self._idempotency_path(tenant, key)
-        tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(job_id)
-            os.replace(tmp, path)
+            faults.atomic_write_text(self._idempotency_path(tenant, key),
+                                     job_id)
         except OSError:
             pass  # dedup is best-effort; the job itself is journalled
 

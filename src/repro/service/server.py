@@ -14,10 +14,10 @@ stopped mattering, and survive a restart without losing the queue.
   (``max_pending``) applies backpressure: a full queue rejects with
   :class:`QueueFull`, or blocks when ``block=True``.
 * A pool of worker threads pops jobs best-lane-first (FIFO within a
-  lane), runs them through the owning
-  :class:`~repro.service.batch.BatchRevealService` — result cache,
-  crash isolation and outcome classification included — and resolves
-  each handle ``queued → running → done/failed``.
+  lane), runs each through the owning
+  :class:`~repro.service.batch.BatchRevealService`'s ``run_job`` —
+  result cache, crash isolation and outcome classification included —
+  and resolves each handle ``queued → running → done/failed``.
 * :meth:`RevealServer.cancel` on a queued job resolves it
   ``cancelled`` without ever starting its pipeline.
 * Every transition, pipeline stage, exploration wave, cache hit and
@@ -41,17 +41,11 @@ import uuid
 from repro.service.api import SubmitAPI
 from repro.service.batch import BatchRevealService, RevealJob
 from repro.service.events import (
-    EVENT_CACHE_HIT,
     EVENT_CANCELLED,
-    EVENT_DEGRADED,
     EVENT_DONE,
-    EVENT_CLUSTER,
     EVENT_FAILED,
-    EVENT_INDEX,
-    EVENT_STAGE,
     EVENT_STARTED,
     EVENT_SUBMITTED,
-    EVENT_WAVE,
     EventBus,
     EventStream,
 )
@@ -346,8 +340,7 @@ class RevealServer(SubmitAPI):
         return counts
 
     # -- waiting ------------------------------------------------------------
-    # ``submit_many`` / ``await_many`` / ``await_job`` (and the
-    # deprecated ``submit_all`` / ``await_all`` shims) come from
+    # ``submit_many`` / ``await_many`` / ``await_job`` come from
     # :class:`SubmitAPI`.
 
     def wait_idle(self, timeout: float | None = None) -> bool:
@@ -451,13 +444,7 @@ class RevealServer(SubmitAPI):
         """
         job_id = record.get("job_id", "")
         try:
-            job = RevealJob(
-                app_id=record["app_id"],
-                apk=JobStore.decode_apk(record["apk_b64"]),
-                device=JobStore.decode_device(record.get("device")),
-                collect_only=record.get("collect_only", False),
-                cache_salt=record.get("cache_salt", ""),
-            )
+            job = RevealJob.from_record(record)
             lane = resolve_priority(record.get("priority", PRIORITY_NORMAL))
         except Exception:
             if job_id:
@@ -506,37 +493,23 @@ class RevealServer(SubmitAPI):
                     self._cv.notify_all()
 
     def _run_one(self, job_id: str, handle: JobHandle) -> None:
-        job = self._jobs[job_id]
+        with self._cv:
+            job = self._jobs[job_id]
+            key = self._cache_keys.pop(job_id, None)
         self._store_update(job_id, state=JobState.RUNNING,
                            started_at=handle.started_at)
         self.bus.publish(EVENT_STARTED, job_id, job.app_id,
                          payload={"queue_wait_s": handle.queue_wait_s})
         try:
-            outcome = self._execute(job_id, job)
-        except Exception as exc:  # _run_job never raises; belt and braces
+            outcome = self.service.run_job(job, bus=self.bus, job_id=job_id,
+                                           cache_key=key)
+        except Exception as exc:  # run_job never raises; belt and braces
             outcome = RevealOutcome(
                 app_id=job.app_id,
                 status=STATUS_ERROR,
                 error=f"{type(exc).__name__}: {exc}",
             )
         outcome.queue_wait_s = handle.queue_wait_s
-        if outcome.index_stats:
-            # Dedup accounting rides the stream before the terminal
-            # event, so per-job lifecycle order stays started → index →
-            # done and corpus dashboards never race the outcome.
-            self.bus.publish(EVENT_INDEX, job_id, job.app_id,
-                             payload=dict(outcome.index_stats))
-        if outcome.cluster_stats:
-            # Same pre-terminal placement for the labeling verdict:
-            # started → index → cluster → done.
-            self.bus.publish(EVENT_CLUSTER, job_id, job.app_id,
-                             payload=dict(outcome.cluster_stats))
-        if outcome.degraded:
-            # Degradations also ride pre-terminal, so a dashboard sees
-            # what this reveal bypassed before it sees the outcome.
-            self.bus.publish(EVENT_DEGRADED, job_id, job.app_id,
-                             payload={"subsystems":
-                                      list(outcome.degraded)})
         if not self.keep_results:
             outcome.result = None
             outcome.revealed_apk_bytes = None
@@ -562,38 +535,3 @@ class RevealServer(SubmitAPI):
             job_id, job.app_id, payload=outcome.to_summary(),
         )
         handle._mark_terminal()
-
-    def _execute(self, job_id: str, job: RevealJob) -> RevealOutcome:
-        """One job through the service: cache, pipeline, events."""
-        service = self.service
-
-        def on_stage(event) -> None:
-            self.bus.publish(EVENT_STAGE, job_id, job.app_id, payload={
-                "stage": event.stage,
-                "duration_s": event.duration_s,
-                "ok": event.ok,
-                "error": event.error,
-            })
-
-        def on_wave(snapshot: dict) -> None:
-            self.bus.publish(EVENT_WAVE, job_id, job.app_id,
-                             payload=dict(snapshot))
-
-        with self._cv:
-            key = self._cache_keys.pop(job_id, None)
-        if key is None:
-            key = service.job_cache_key(job) if job.cacheable else ""
-
-        def compute() -> RevealOutcome:
-            return service._run_job(job, key, observer=on_stage,
-                                    wave_observer=on_wave)
-
-        if key:
-            outcome, hit = service.cache.get_or_compute(key, compute)
-            if hit:
-                outcome.app_id = job.app_id
-                self.bus.publish(EVENT_CACHE_HIT, job_id, job.app_id,
-                                 payload={"cache_key": key})
-        else:
-            outcome = compute()
-        return outcome

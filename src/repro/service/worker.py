@@ -15,9 +15,10 @@ fleet the moment it points at the store, and *out* of it the moment it
 stops (its in-flight lease expires and the job is reclaimed by whoever
 gets there first).
 
-Execution reuses :class:`~repro.service.batch.BatchRevealService`
-whole — result cache, crash isolation, outcome classification — so a
-job revealed by a fleet worker is byte-for-byte the job an in-process
+Execution is :meth:`~repro.service.batch.BatchRevealService.run_job`,
+the same job body the in-process server runs — result cache, crash
+isolation, outcome classification, event vocabulary — so a job
+revealed by a fleet worker is byte-for-byte the job an in-process
 server would have produced.  Progress events are published on the
 worker's own bus and journalled to the store's ``events.jsonl``, which
 is what the gateway's ``/events`` endpoint and ``watch`` CLI tail.
@@ -40,15 +41,10 @@ from repro import faults
 from repro.service.artifacts import ArtifactStore
 from repro.service.batch import BatchRevealService, RevealJob
 from repro.service.events import (
-    EVENT_CACHE_HIT,
     EVENT_CANCELLED,
-    EVENT_DEGRADED,
     EVENT_DONE,
     EVENT_FAILED,
-    EVENT_INDEX,
-    EVENT_STAGE,
     EVENT_STARTED,
-    EVENT_WAVE,
     EventBus,
 )
 from repro.service.jobs import (
@@ -298,13 +294,7 @@ class RevealWorker:
             return self._finish_cancelled(job_id, lease_seq, app_id,
                                           report=report)
         try:
-            job = RevealJob(
-                app_id=record["app_id"],
-                apk=JobStore.decode_apk(record["apk_b64"]),
-                device=JobStore.decode_device(record.get("device")),
-                collect_only=record.get("collect_only", False),
-                cache_salt=record.get("cache_salt", ""),
-            )
+            job = RevealJob.from_record(record)
         except Exception:
             landed = self._complete(report, job_id, lease_seq,
                                     state=JobState.FAILED,
@@ -327,8 +317,8 @@ class RevealWorker:
                                 self.lease_ttl_s)
         beat.start()
         try:
-            outcome = self._execute(job_id, job)
-        except Exception as exc:  # _run_job never raises; belt and braces
+            outcome = self.service.run_job(job, bus=self.bus, job_id=job_id)
+        except Exception as exc:  # run_job never raises; belt and braces
             outcome = RevealOutcome(
                 app_id=job.app_id, status=STATUS_ERROR,
                 error=f"{type(exc).__name__}: {exc}",
@@ -345,13 +335,6 @@ class RevealWorker:
         if beat.cancelled.is_set():
             return self._finish_cancelled(job_id, lease_seq, job.app_id,
                                           report=report)
-        if outcome.index_stats:
-            self.bus.publish(EVENT_INDEX, job_id, job.app_id,
-                             payload=dict(outcome.index_stats))
-        if outcome.degraded:
-            self.bus.publish(EVENT_DEGRADED, job_id, job.app_id,
-                             payload={"subsystems": list(outcome.degraded),
-                                      "worker_id": self.worker_id})
         # Artifact puts are content-addressed, so retrying them is
         # idempotent; a re-run by another worker after a lost lease
         # lands the same digests.
@@ -413,39 +396,6 @@ class RevealWorker:
         self.bus.publish(EVENT_CANCELLED, job_id, app_id,
                          payload={"worker_id": self.worker_id})
         return "cancelled"
-
-    def _execute(self, job_id: str, job: RevealJob) -> RevealOutcome:
-        """One job through the service — the same cache-then-run path
-        (and event vocabulary) as ``RevealServer._execute``."""
-        service = self.service
-
-        def on_stage(event) -> None:
-            self.bus.publish(EVENT_STAGE, job_id, job.app_id, payload={
-                "stage": event.stage,
-                "duration_s": event.duration_s,
-                "ok": event.ok,
-                "error": event.error,
-            })
-
-        def on_wave(snapshot: dict) -> None:
-            self.bus.publish(EVENT_WAVE, job_id, job.app_id,
-                             payload=dict(snapshot))
-
-        key = service.job_cache_key(job) if job.cacheable else ""
-
-        def compute() -> RevealOutcome:
-            return service._run_job(job, key, observer=on_stage,
-                                    wave_observer=on_wave)
-
-        if key:
-            outcome, hit = service.cache.get_or_compute(key, compute)
-            if hit:
-                outcome.app_id = job.app_id
-                self.bus.publish(EVENT_CACHE_HIT, job_id, job.app_id,
-                                 payload={"cache_key": key})
-        else:
-            outcome = compute()
-        return outcome
 
     # -- artifacts -----------------------------------------------------------
 

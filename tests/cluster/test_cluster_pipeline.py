@@ -7,13 +7,21 @@ revealed it or in which order the apps arrived.
 
 import pytest
 
+from repro import faults
 from repro.benchsuite.shared_corpus import build_shared_corpus
 from repro.cluster.store import ClusterStore
+from repro.faults import FAULT_OS_ERROR, FaultPlan, FaultRule
 from repro.service import (
     EVENT_CLUSTER,
+    EVENT_DEGRADED,
+    EVENT_DONE,
+    EVENT_INDEX,
+    EVENT_STARTED,
     BatchRevealService,
+    JobStore,
     RevealJob,
     RevealServer,
+    RevealWorker,
 )
 
 _CORPUS_KW = dict(methods_per_class=2)
@@ -55,7 +63,7 @@ class TestClusterStatsSurfaces:
         service = BatchRevealService(
             cluster_dir=str(tmp_path / "fam"), workers=1)
         with RevealServer(service=service) as server:
-            handles = server.submit_all(_jobs(apps))
+            handles = server.submit_many(_jobs(apps))
             outcomes = server.await_many(handles)
 
         for handle, outcome in zip(handles, outcomes):
@@ -65,6 +73,34 @@ class TestClusterStatsSurfaces:
             assert events[0].payload == outcome.cluster_stats
             assert {"family", "methods_total",
                     "labels_assigned"} <= events[0].payload.keys()
+
+    def test_worker_publishes_cluster_events_in_server_order(self, tmp_path):
+        # A fleet job runs the same job body as an in-process one, so
+        # its stream carries the labeling verdict in the same
+        # pre-terminal order: started → index → cluster → degraded →
+        # done.  A failing cache write supplies the degradation.
+        [app] = build_shared_corpus(1, **_CORPUS_KW)
+        store = JobStore(str(tmp_path / "store"))
+        store.save(store.make_record(job_id="j1", app_id=app.package,
+                                     apk=app.apk))
+        worker = RevealWorker(store, worker_id="w1", workers=1,
+                              index_dir=str(tmp_path / "idx"),
+                              cluster_dir=str(tmp_path / "fam"),
+                              cache_dir=str(tmp_path / "cache"))
+        plan = FaultPlan([FaultRule("cache.write", FAULT_OS_ERROR,
+                                    times=10)])
+        with faults.armed(plan):
+            report = worker.run(max_jobs=1)
+        assert report.done == 1
+
+        lifecycle = (EVENT_STARTED, EVENT_INDEX, EVENT_CLUSTER,
+                     EVENT_DEGRADED, EVENT_DONE)
+        events = [e for e in worker.bus.events_for("j1")
+                  if e.kind in lifecycle]
+        assert [e.kind for e in events] == list(lifecycle)
+        outcome = store.load("j1")["outcome"]
+        assert events[2].payload == outcome["cluster_stats"]
+        assert events[3].payload["subsystems"] == ["cache"]
 
     def test_store_persists_across_service_instances(self, tmp_path):
         cluster_dir = str(tmp_path / "fam")

@@ -113,7 +113,7 @@ def baseline():
     return reference
 
 
-def _submit_all(client: GatewayClient) -> list:
+def _submit_apps(client: GatewayClient) -> list:
     return [client.submit(RevealJob(app_id=app,
                                     apk=build_simple_apk(f"chaos.{app}")))
             for app in APPS]
@@ -179,7 +179,7 @@ class TestSeededFaultSchedules:
             client = GatewayClient(gateway.url, poll_interval_s=0.05,
                                    retry=CHAOS_RETRY)
             with faults.armed(plan):
-                handles = _submit_all(client)
+                handles = _submit_apps(client)
                 threads = _run_fleet(store)
                 outcomes = client.await_many(handles, timeout=180)
                 for t in threads:
@@ -216,7 +216,7 @@ class TestWorkerKillSchedules:
         store = JobStore(str(tmp_path / "store"))
         with RevealGateway(store) as gateway:
             client = GatewayClient(gateway.url, poll_interval_s=0.05)
-            handles = _submit_all(client)
+            handles = _submit_apps(client)
 
         # The victim runs in a real child process so the injected
         # os._exit models a genuine crash: no finally blocks, no

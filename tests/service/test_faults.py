@@ -148,8 +148,9 @@ class TestFaultableWrites:
             with pytest.raises(FaultInjected):
                 faults.atomic_write_bytes(path, b"x" * 100, site="site")
         assert not path.exists()
-        torn = tmp_path / "out.bin.tmp"
-        assert torn.exists() and 0 < torn.stat().st_size < 100
+        # Temp names are unique per writer; the debris is found by glob.
+        [torn] = tmp_path.glob("out.bin.*.tmp")
+        assert 0 < torn.stat().st_size < 100
 
     def test_partial_replace_keeps_old_content_visible(self, tmp_path):
         path = tmp_path / "out.txt"
@@ -161,7 +162,8 @@ class TestFaultableWrites:
         # The replace never ran: readers still see the old bytes, the
         # fully-written temp file is stranded debris.
         assert path.read_text() == "old"
-        assert (tmp_path / "out.txt.tmp").read_text() == "new"
+        [stranded] = tmp_path.glob("out.txt.*.tmp")
+        assert stranded.read_text() == "new"
 
     def test_truncated_line_flushes_a_torn_prefix(self, tmp_path):
         path = tmp_path / "log.jsonl"

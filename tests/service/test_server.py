@@ -55,10 +55,10 @@ class TestSubmitAwait:
             with pytest.raises(KeyError):
                 server.poll("no-such-job")
 
-    def test_await_all_in_submission_order(self):
+    def test_await_many_in_submission_order(self):
         with RevealServer(workers=4) as server:
-            handles = server.submit_all([_job(f"j{i}") for i in range(6)])
-            outcomes = server.await_all(handles)
+            handles = server.submit_many([_job(f"j{i}") for i in range(6)])
+            outcomes = server.await_many(handles)
         assert [o.app_id for o in outcomes] == [f"j{i}" for i in range(6)]
 
     def test_failed_job_resolves_failed_state(self):
@@ -198,8 +198,8 @@ class TestEventStream:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_per_job_lifecycle_order_at_any_worker_count(self, workers):
         server = RevealServer(workers=workers)
-        handles = server.submit_all([_job(f"evt{i}") for i in range(8)])
-        server.await_all(handles)
+        handles = server.submit_many([_job(f"evt{i}") for i in range(8)])
+        server.await_many(handles)
         server.close()
         for handle in handles:
             kinds = _lifecycle_kinds(server, handle.job_id)
@@ -217,8 +217,8 @@ class TestEventStream:
     def test_events_iterator_sees_the_run(self):
         server = RevealServer(workers=2)
         stream = server.events()
-        handles = server.submit_all([_job(f"it{i}") for i in range(3)])
-        server.await_all(handles)
+        handles = server.submit_many([_job(f"it{i}") for i in range(3)])
+        server.await_many(handles)
         server.close()  # closes the bus -> iteration ends
         kinds = [e.kind for e in stream]
         assert kinds.count("done") == 3
@@ -283,7 +283,7 @@ class TestJobStorePersistence:
         del dead  # killed before ever starting its workers
 
         with RevealServer(workers=2, store=store_dir) as server:
-            outcomes = server.await_all()
+            outcomes = server.await_many()
         assert len(outcomes) == 3
         assert all(o.status == "ok" for o in outcomes)
         records = {r["job_id"]: r for r in JobStore(store_dir).load_all()}
@@ -417,14 +417,12 @@ class TestServiceFacade:
         assert all(o.to_summary()["queue_wait_s"] >= 0
                    for o in report.outcomes)
 
-    def test_submit_all_await_all_against_shared_server(self):
+    def test_submit_many_await_many_against_shared_server(self):
         service = BatchRevealService(workers=2)
         with service.server() as server:
-            high = service.submit_all([_job("hi")], server,
-                                      priority=PRIORITY_HIGH)
-            low = service.submit_all([_job("lo")], server,
-                                     priority=PRIORITY_LOW)
-            outcomes = service.await_all(high + low)
+            high = server.submit_many([_job("hi")], priority=PRIORITY_HIGH)
+            low = server.submit_many([_job("lo")], priority=PRIORITY_LOW)
+            outcomes = service.await_many(high + low)
         assert [o.app_id for o in outcomes] == ["hi", "lo"]
 
     def test_empty_batch(self):
@@ -461,8 +459,8 @@ class TestWaitIdle:
 
     def test_status_counts(self):
         with RevealServer(workers=2) as server:
-            handles = server.submit_all([_job(f"sc{i}") for i in range(3)])
-            server.await_all(handles)
+            handles = server.submit_many([_job(f"sc{i}") for i in range(3)])
+            server.await_many(handles)
             counts = server.status_counts()
         assert counts[JobState.DONE] == 3
         assert counts[JobState.QUEUED] == 0

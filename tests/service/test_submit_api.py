@@ -46,23 +46,8 @@ class TestOneProtocol:
 
 
 class TestDeprecatedShims:
-    def test_server_submit_all_await_all_warn_but_work(self):
-        with RevealServer(workers=2) as server:
-            with pytest.warns(DeprecationWarning, match="submit_many"):
-                handles = server.submit_all([_job("d1")])
-            with pytest.warns(DeprecationWarning, match="await_many"):
-                outcomes = server.await_all(handles, timeout=60)
-        assert [o.app_id for o in outcomes] == ["d1"]
-        assert outcomes[0].status == STATUS_OK
-
-    def test_batch_service_shims_warn_but_work(self):
-        service = BatchRevealService(workers=2)
-        with pytest.warns(DeprecationWarning):
-            handles = service.submit_all([_job("b1")])
-        with pytest.warns(DeprecationWarning):
-            outcomes = service.await_all(handles, timeout=60)
-        assert [o.app_id for o in outcomes] == ["b1"]
-        assert outcomes[0].status == STATUS_OK
+    """The pre-protocol ``submit_all``/``await_all`` shims are gone; the
+    surviving names must stay silent."""
 
     def test_new_names_do_not_warn(self):
         service = BatchRevealService(workers=2)
