@@ -19,7 +19,7 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: serial/thread/process replay backends bit-identical"
+	@echo "make test-determinism - differential suite: thread/process replay backends bit-identical, collection codec round trips"
 	@echo "make test-chaos  - seeded fault schedules vs gateway + worker fleet: exactly-once, byte-identical artifacts"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -39,13 +39,15 @@ test:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
 
 # The differential determinism suite on its own: every replay backend
-# (serial / thread / process, 1..8 workers) must produce bit-identical
-# exploration, collection and archives.  Part of `make test` too; this
-# target exists so CI (and bisects) can run the contract in isolation
-# with verbose per-case output.
+# (thread / process, 1..8 workers) must produce bit-identical
+# exploration, collection and archives, and the collection files must
+# round-trip byte for byte through their one codec.  Part of `make test`
+# too; this target exists so CI (and bisects) can run the contract in
+# isolation with verbose per-case output.
 test-determinism:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/core/test_determinism.py \
-		tests/core/test_replay_spec.py tests/runtime/test_predecode_warm.py -q
+		tests/core/test_replay_spec.py tests/runtime/test_predecode_warm.py \
+		tests/core/test_collection_codec.py -q
 
 # The chaos suite on its own: deterministic seeded fault schedules
 # (store I/O, network, worker kills) against a live gateway and a

@@ -1,18 +1,18 @@
-"""Batch service throughput — serial vs parallel, cold vs warm cache.
+"""Batch service throughput — one worker vs parallel, cold vs warm cache.
 
 Not a paper table: this measures the service layer the reproduction adds
 on top of the paper — revealing the whole F-Droid corpus (Table VI's
 apps) through :class:`~repro.service.batch.BatchRevealService` three
 ways and recording the aggregate numbers the service is judged by:
 
-* ``serial``   — one worker, no shared cache (the old hand-rolled loop);
+* ``workers=1`` — one worker, no shared cache (the old hand-rolled loop);
 * ``parallel`` — a ≥2-worker pool against a cold on-disk cache;
 * ``warm``     — the same corpus again, same cache directory: every app
   must come back as a cache hit without re-running the pipeline.
 
 The printed table carries wall time, apps/sec, cache hit rate and p50 /
 p95 per-app latency for each configuration, plus the speedup relative
-to the serial leg.
+to the one-worker leg.
 """
 
 from benchmarks.conftest import run_once
@@ -33,9 +33,7 @@ def test_batch_throughput_and_cache(benchmark, tmp_path):
     reports = {}
 
     def run():
-        reports["serial"] = BatchRevealService(
-            workers=1, backend="serial"
-        ).reveal_batch(jobs)
+        reports["workers=1"] = BatchRevealService(workers=1).reveal_batch(jobs)
         reports["parallel"] = BatchRevealService(
             workers=WORKERS, cache_dir=cache_dir
         ).reveal_batch(jobs)
@@ -48,10 +46,10 @@ def test_batch_throughput_and_cache(benchmark, tmp_path):
 
     run_once(benchmark, run)
 
-    serial = reports["serial"]
+    single = reports["workers=1"]
     rows = []
     for name, report in reports.items():
-        speedup = (serial.wall_time_s / report.wall_time_s
+        speedup = (single.wall_time_s / report.wall_time_s
                    if report.wall_time_s else float("inf"))
         rows.append([
             name,
@@ -67,7 +65,7 @@ def test_batch_throughput_and_cache(benchmark, tmp_path):
     print(render_table(
         "Batch reveal throughput (F-Droid corpus)",
         ["Run", "Pool", "Wall", "Apps/s", "Hit Rate", "p50", "p95",
-         "vs Serial"],
+         "vs 1 Worker"],
         rows,
     ))
 

@@ -24,7 +24,6 @@ from repro.core.config import RevealConfig
 from repro.core.exploration import (
     ALL_STRATEGIES,
     BACKEND_PROCESS,
-    BACKEND_SERIAL,
     BACKEND_THREAD,
     EXPLORE_BACKENDS,
     STRATEGY_BFS,
@@ -71,7 +70,6 @@ __all__ = [
     "ALL_STAGES",
     "ALL_STRATEGIES",
     "BACKEND_PROCESS",
-    "BACKEND_SERIAL",
     "BACKEND_THREAD",
     "BranchTraceListener",
     "EXPLORE_BACKENDS",

@@ -14,16 +14,12 @@ from __future__ import annotations
 import json
 import logging
 import os
+from collections.abc import Mapping
+from types import MappingProxyType
 
 from repro import faults
-from repro.core.collector import (
-    CollectedClass,
-    CollectedField,
-    DexLegoCollector,
-    ReflectionSite,
-)
-from repro.core.method_store import CollectedTry, MethodRecord, MethodStore
-from repro.core.tree import CollectionTree
+from repro.core.collector import CollectedClass, DexLegoCollector, ReflectionSite
+from repro.core.method_store import MethodStore
 from repro.runtime.predecode import validate_predecode_index
 
 CLASS_DATA_FILE = "class_data.json"
@@ -63,10 +59,18 @@ SUPPORTED_EXPLORATION_STATE_VERSIONS = (1,)
 
 
 class CollectionArchive:
-    """Serialised collection output (the paper's "Collected Files")."""
+    """Serialised collection output (the paper's "Collected Files").
+
+    Every record type goes through its one ``to_dict``/``from_dict``
+    codec — the same one replay deltas use — so an archive is the
+    delta form of a collector split across the Figure-2 files.
+    Reading decodes the files once into a collector; the reader
+    accessors are views of that decode (until :meth:`drop_decoded`).
+    """
 
     def __init__(self, payload: dict[str, str]) -> None:
         self._payload = payload  # filename -> JSON text
+        self._decoded: DexLegoCollector | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -76,70 +80,27 @@ class CollectionArchive:
         field_data = []
         static_values = []
         for collected in collector.classes.values():
-            class_data.append(
-                {
-                    "descriptor": collected.descriptor,
-                    "superclass": collected.superclass_desc,
-                    "interfaces": list(collected.interface_descs),
-                    "access": collected.access_flags,
-                    "initialized": collected.initialized,
-                    "methods": collected.method_signatures,
-                }
-            )
-            for collected_field in collected.fields:
-                field_data.append(
-                    {
-                        "class": collected.descriptor,
-                        **collected_field.to_dict(),
-                    }
-                )
-                static_values.append(
-                    {
-                        "class": collected.descriptor,
-                        "field": collected_field.name,
-                        "value": list(collected_field.static_value),
-                    }
-                )
-        method_data = []
-        bytecode = []
-        for record in collector.method_store.records.values():
-            method_data.append(
-                {
-                    "signature": record.signature,
-                    "class": record.class_desc,
-                    "name": record.name,
-                    "params": list(record.param_descs),
-                    "return": record.return_desc,
-                    "access": record.access_flags,
-                    "native": record.is_native,
-                    "registers": record.registers_size,
-                    "ins": record.ins_size,
-                    "outs": record.outs_size,
-                    "tries": [t.to_dict() for t in record.tries],
-                }
-            )
-            for tree in record.trees:
-                bytecode.append(tree.to_dict())
-        reflection = [
-            {
-                "caller": site.caller_signature,
-                "dex_pc": site.dex_pc,
-                "targets": [
-                    {"signature": sig, "static": site.target_static[sig]}
-                    for sig in site.targets
-                ],
-            }
-            for site in collector.reflection_sites.values()
-        ]
+            entry = collected.to_dict()
+            class_data.append(entry)
+            for field_entry in entry.pop("fields"):
+                field_data.append({"class": collected.descriptor,
+                                   **field_entry})
+                static_values.append({"class": collected.descriptor,
+                                      "field": field_entry["name"],
+                                      "value": field_entry["value"]})
+        records = collector.method_store.records.values()
         payload = {
-            CLASS_DATA_FILE: json.dumps(class_data, indent=1),
-            FIELD_DATA_FILE: json.dumps(field_data, indent=1),
-            METHOD_DATA_FILE: json.dumps(method_data, indent=1),
-            STATIC_VALUES_FILE: json.dumps(static_values, indent=1),
-            BYTECODE_FILE: json.dumps(bytecode, indent=1),
-            REFLECTION_FILE: json.dumps(reflection, indent=1),
+            CLASS_DATA_FILE: class_data,
+            FIELD_DATA_FILE: field_data,
+            METHOD_DATA_FILE: [record.to_dict() for record in records],
+            STATIC_VALUES_FILE: static_values,
+            BYTECODE_FILE: [tree.to_dict() for record in records
+                            for tree in record.trees],
+            REFLECTION_FILE: [site.to_dict() for site in
+                              collector.reflection_sites.values()],
         }
-        return cls(payload)
+        return cls({name: json.dumps(data, indent=1)
+                    for name, data in payload.items()})
 
     # -- persistence --------------------------------------------------------
 
@@ -219,98 +180,16 @@ class CollectionArchive:
         A resumed exploration collects only its own session's runs, so
         its archive must be merged with the archive it resumed from or
         code executed only by the earlier session (the baseline drive,
-        prior replays) would vanish from the reveal.  Keys are unioned
-        — classes by descriptor, methods by signature, fields and
-        static values by (class, name), reflection sites by (caller,
-        pc) with targets unioned, bytecode trees with exact duplicates
-        dropped.  On conflicts ``update`` wins, except class-init state
-        and static values, where the side that actually ran ``<clinit>``
-        wins.  The exploration state is ``update``'s (it supersedes the
-        frontier it was resumed from).
+        prior replays) would vanish from the reveal.  ``base`` is
+        decoded into a fresh collector and ``update`` absorbed into it,
+        so :meth:`DexLegoCollector.absorb` holds the merge rules;
+        neither input changes.  The exploration state is ``update``'s
+        (it supersedes the frontier it was resumed from).
         """
-        base_classes = {e["descriptor"]: e for e in base.classes()}
-        new_classes = {e["descriptor"]: e for e in update.classes()}
-        merged_classes = []
-        for desc in list(base_classes) + \
-                [d for d in new_classes if d not in base_classes]:
-            old = base_classes.get(desc)
-            new = new_classes.get(desc)
-            if old is None or new is None:
-                merged_classes.append(old or new)
-                continue
-            entry = dict(new)
-            entry["initialized"] = old["initialized"] or new["initialized"]
-            known_methods = set(new["methods"])
-            entry["methods"] = list(new["methods"]) + [
-                m for m in old["methods"] if m not in known_methods
-            ]
-            merged_classes.append(entry)
-        # Whichever side initialized a class carries its real static
-        # values; the other side only has link-time defaults.
-        def initialized_side(desc: str) -> str:
-            old = base_classes.get(desc)
-            new = new_classes.get(desc)
-            if new is not None and new["initialized"]:
-                return "update"
-            if old is not None and old["initialized"]:
-                return "base"
-            return "update" if new is not None else "base"
-
-        def merge_keyed(base_entries, update_entries, key_of):
-            chosen = {}
-            order = []
-            for origin, entries in (("base", base_entries),
-                                    ("update", update_entries)):
-                for entry in entries:
-                    key = key_of(entry)
-                    if key not in chosen:
-                        order.append(key)
-                        chosen[key] = entry
-                    elif origin == initialized_side(entry["class"]):
-                        chosen[key] = entry
-            return [chosen[key] for key in order]
-
-        fields = merge_keyed(base.fields(), update.fields(),
-                             lambda e: (e["class"], e["name"]))
-        statics = merge_keyed(base.static_values(), update.static_values(),
-                              lambda e: (e["class"], e["field"]))
-        methods = {}
-        for entry in json.loads(base._payload[METHOD_DATA_FILE]) + \
-                json.loads(update._payload[METHOD_DATA_FILE]):
-            methods[entry["signature"]] = entry
-        seen_trees = set()
-        bytecode = []
-        for tree in json.loads(base._payload[BYTECODE_FILE]) + \
-                json.loads(update._payload[BYTECODE_FILE]):
-            digest = json.dumps(tree, sort_keys=True)
-            if digest not in seen_trees:
-                seen_trees.add(digest)
-                bytecode.append(tree)
-        reflection = {}
-        for entry in json.loads(base._payload[REFLECTION_FILE]) + \
-                json.loads(update._payload[REFLECTION_FILE]):
-            key = (entry["caller"], entry["dex_pc"])
-            site = reflection.get(key)
-            if site is None:
-                reflection[key] = {
-                    "caller": entry["caller"],
-                    "dex_pc": entry["dex_pc"],
-                    "targets": list(entry["targets"]),
-                }
-            else:
-                known = {t["signature"] for t in site["targets"]}
-                site["targets"].extend(
-                    t for t in entry["targets"] if t["signature"] not in known
-                )
-        payload = {
-            CLASS_DATA_FILE: json.dumps(merged_classes, indent=1),
-            FIELD_DATA_FILE: json.dumps(fields, indent=1),
-            METHOD_DATA_FILE: json.dumps(list(methods.values()), indent=1),
-            STATIC_VALUES_FILE: json.dumps(statics, indent=1),
-            BYTECODE_FILE: json.dumps(bytecode, indent=1),
-            REFLECTION_FILE: json.dumps(list(reflection.values()), indent=1),
-        }
-        archive = cls(payload)
+        collector = DexLegoCollector.from_delta(
+            base._collector().delta_dict())
+        collector.absorb(update._collector().delta_dict())
+        archive = cls.from_collector(collector)
         archive.set_exploration_state(update.exploration_state())
         # Warm decode state: the update session re-exported its stores
         # after running, so its index supersedes; an update without one
@@ -368,70 +247,50 @@ class CollectionArchive:
         else:
             self._payload[PREDECODE_INDEX_FILE] = json.dumps(index, indent=1)
 
-    # -- deserialisation into reassembler inputs ----------------------------------
+    # -- deserialisation into reassembler inputs ----------------------------
 
-    def classes(self) -> list[dict]:
-        return json.loads(self._payload[CLASS_DATA_FILE])
+    def _collector(self) -> DexLegoCollector:
+        """The collection files decoded, once per archive."""
+        if self._decoded is None:
+            fields: dict[str, list[dict]] = {}
+            for entry in self._load(FIELD_DATA_FILE):
+                fields.setdefault(entry["class"], []).append(entry)
+            trees: dict[str, list[dict]] = {}
+            for entry in self._load(BYTECODE_FILE):
+                trees.setdefault(entry["method"], []).append(entry)
+            self._decoded = DexLegoCollector.from_delta({
+                "classes": [
+                    {**entry, "fields": fields.get(entry["descriptor"], [])}
+                    for entry in self._load(CLASS_DATA_FILE)
+                ],
+                "methods": [
+                    {**entry, "trees": trees.get(entry["signature"], [])}
+                    for entry in self._load(METHOD_DATA_FILE)
+                ],
+                "reflection": self._load(REFLECTION_FILE),
+            })
+        return self._decoded
 
-    def fields(self) -> list[dict]:
-        return json.loads(self._payload[FIELD_DATA_FILE])
+    def _load(self, name: str) -> list[dict]:
+        return json.loads(self._payload[name])
 
-    def static_values(self) -> list[dict]:
-        return json.loads(self._payload[STATIC_VALUES_FILE])
+    def drop_decoded(self) -> None:
+        """Free the decode behind the reader views; the files stay.
+
+        For holders that keep an archive past its reassembly, such as
+        a finished reveal's result: a later accessor decodes again.
+        """
+        self._decoded = None
+
+    # The reader accessors share one decode, so callers must treat what
+    # they return as read-only.
 
     def method_store(self) -> MethodStore:
-        store = MethodStore()
-        for entry in json.loads(self._payload[METHOD_DATA_FILE]):
-            store.ensure(
-                MethodRecord(
-                    signature=entry["signature"],
-                    class_desc=entry["class"],
-                    name=entry["name"],
-                    param_descs=tuple(entry["params"]),
-                    return_desc=entry["return"],
-                    access_flags=entry["access"],
-                    is_native=entry["native"],
-                    registers_size=entry["registers"],
-                    ins_size=entry["ins"],
-                    outs_size=entry["outs"],
-                    tries=[CollectedTry.from_dict(t) for t in entry["tries"]],
-                )
-            )
-        for tree_data in json.loads(self._payload[BYTECODE_FILE]):
-            tree = CollectionTree.from_dict(tree_data)
-            store.add_tree(tree.method_signature, tree)
-        return store
+        return self._collector().method_store
 
-    def reflection_sites(self) -> dict[tuple[str, int], ReflectionSite]:
-        sites: dict[tuple[str, int], ReflectionSite] = {}
-        for entry in json.loads(self._payload[REFLECTION_FILE]):
-            site = ReflectionSite(entry["caller"], entry["dex_pc"])
-            for target in entry["targets"]:
-                site.add_target(target["signature"], target["static"])
-            sites[(site.caller_signature, site.dex_pc)] = site
-        return sites
+    def collected_class_map(self) -> Mapping[str, CollectedClass]:
+        """Class metadata with fields and static values, by descriptor."""
+        return MappingProxyType(self._collector().classes)
 
-    def collected_class_map(self) -> dict[str, CollectedClass]:
-        """Rebuild CollectedClass objects (metadata + fields + values)."""
-        by_desc: dict[str, CollectedClass] = {}
-        for entry in self.classes():
-            by_desc[entry["descriptor"]] = CollectedClass(
-                descriptor=entry["descriptor"],
-                superclass_desc=entry["superclass"],
-                interface_descs=tuple(entry["interfaces"]),
-                access_flags=entry["access"],
-                initialized=entry["initialized"],
-                method_signatures=list(entry["methods"]),
-            )
-        for entry in self.fields():
-            collected = by_desc.get(entry["class"])
-            if collected is not None:
-                collected.fields.append(
-                    CollectedField(
-                        entry["name"],
-                        entry["type"],
-                        entry["access"],
-                        tuple(entry["value"]),
-                    )
-                )
-        return by_desc
+    def reflection_sites(self) -> Mapping[tuple[str, int], ReflectionSite]:
+        return MappingProxyType(self._collector().reflection_sites)

@@ -70,9 +70,9 @@ class CollectedClass:
             "superclass": self.superclass_desc,
             "interfaces": list(self.interface_descs),
             "access": self.access_flags,
-            "fields": [f.to_dict() for f in self.fields],
-            "methods": self.method_signatures,
             "initialized": self.initialized,
+            "methods": list(self.method_signatures),
+            "fields": [f.to_dict() for f in self.fields],
         }
 
     @classmethod
@@ -109,6 +109,23 @@ class ReflectionSite:
 
     def add_target(self, signature: str, is_static: bool) -> None:
         self.target_static.setdefault(signature, is_static)
+
+    def to_dict(self) -> dict:
+        return {
+            "caller": self.caller_signature,
+            "dex_pc": self.dex_pc,
+            "targets": [
+                {"signature": sig, "static": static}
+                for sig, static in self.target_static.items()
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ReflectionSite":
+        site = cls(data["caller"], data["dex_pc"])
+        for target in data["targets"]:
+            site.add_target(target["signature"], target["static"])
+        return site
 
 
 class DexLegoCollector(RuntimeListener):
@@ -273,7 +290,7 @@ class DexLegoCollector(RuntimeListener):
             )
         site.add_target(target_method.ref.signature, target_method.is_static)
 
-    # -- deltas (process-parallel exploration) -------------------------------
+    # -- deltas (process-parallel exploration, archive decode, resume) ------
 
     def delta_dict(self) -> dict:
         """Everything this collector holds, as a JSON-safe value.
@@ -285,38 +302,20 @@ class DexLegoCollector(RuntimeListener):
         replays.  Instruction counts still sitting in per-frame
         buckets (a frame that never exited because the run crashed)
         are deliberately excluded, matching what a directly-attached
-        collector would have folded in.
+        collector would have folded in.  Each record type encodes
+        through its own ``to_dict``, the same codec the collection
+        files use; only the trees differ in placement (nested per
+        method here, one flat file in an archive).
         """
         return {
             "classes": [c.to_dict() for c in self.classes.values()],
             "methods": [
-                {
-                    "signature": record.signature,
-                    "class": record.class_desc,
-                    "name": record.name,
-                    "params": list(record.param_descs),
-                    "return": record.return_desc,
-                    "access": record.access_flags,
-                    "native": record.is_native,
-                    "registers": record.registers_size,
-                    "ins": record.ins_size,
-                    "outs": record.outs_size,
-                    "tries": [t.to_dict() for t in record.tries],
-                    "trees": [t.to_dict() for t in record.trees],
-                }
+                {**record.to_dict(),
+                 "trees": [t.to_dict() for t in record.trees]}
                 for record in self.method_store.records.values()
             ],
-            "reflection": [
-                {
-                    "caller": site.caller_signature,
-                    "dex_pc": site.dex_pc,
-                    "targets": [
-                        {"signature": sig, "static": site.target_static[sig]}
-                        for sig in site.targets
-                    ],
-                }
-                for site in self.reflection_sites.values()
-            ],
+            "reflection": [site.to_dict()
+                           for site in self.reflection_sites.values()],
             "instructions_observed": self.instructions_observed,
         }
 
@@ -330,9 +329,24 @@ class DexLegoCollector(RuntimeListener):
         that here the order is the engine's deterministic merge order
         rather than thread-completion order.  A delta that initialized
         a class carries its real static values, so it overwrites
-        link-time defaults (and, like a later serial run re-entering
-        ``<clinit>``, any earlier values).
+        link-time defaults (and, like a later run re-entering
+        ``<clinit>``, any earlier values).  These are the only merge
+        rules: resuming an archive absorbs the new session's records
+        into the decoded old ones.
         """
+        self._merge(delta)
+
+    @classmethod
+    def from_delta(cls, delta: dict) -> "DexLegoCollector":
+        """A fresh collector holding exactly ``delta``'s records."""
+        collector = cls()
+        collector._merge(delta)
+        return collector
+
+    def _merge(self, delta: dict) -> None:
+        # ``absorb``'s body.  Decoding (``from_delta``) merges into an
+        # empty collector through here, so ``absorb`` itself only ever
+        # sees replay deltas and resume merges.
         for entry in delta.get("classes", ()):
             collected = self.classes.get(entry["descriptor"])
             if collected is None:
@@ -352,33 +366,16 @@ class DexLegoCollector(RuntimeListener):
                             collected_field.static_value = \
                                 values[collected_field.name]
         for entry in delta.get("methods", ()):
-            record = self.method_store.get(entry["signature"])
-            if record is None:
-                record = self.method_store.ensure(
-                    MethodRecord(
-                        signature=entry["signature"],
-                        class_desc=entry["class"],
-                        name=entry["name"],
-                        param_descs=tuple(entry["params"]),
-                        return_desc=entry["return"],
-                        access_flags=entry["access"],
-                        is_native=entry["native"],
-                        registers_size=entry["registers"],
-                        ins_size=entry["ins"],
-                        outs_size=entry["outs"],
-                        tries=[CollectedTry.from_dict(t)
-                               for t in entry["tries"]],
-                    )
-                )
+            record = self.method_store.get(entry["signature"]) or \
+                self.method_store.ensure(MethodRecord.from_dict(entry))
             for tree_data in entry["trees"]:
                 record.add_tree(CollectionTree.from_dict(tree_data))
         for entry in delta.get("reflection", ()):
-            key = (entry["caller"], entry["dex_pc"])
+            incoming = ReflectionSite.from_dict(entry)
             site = self.reflection_sites.setdefault(
-                key, ReflectionSite(entry["caller"], entry["dex_pc"])
-            )
-            for target in entry["targets"]:
-                site.add_target(target["signature"], target["static"])
+                (incoming.caller_signature, incoming.dex_pc), incoming)
+            for signature, is_static in incoming.target_static.items():
+                site.add_target(signature, is_static)
         observed = delta.get("instructions_observed", 0)
         if observed:
             with self._stats_lock:

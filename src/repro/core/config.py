@@ -76,8 +76,8 @@ class RevealConfig:
       (``None`` = same as ``run_budget``).
     * ``explore_workers`` — pool width for replaying one wave of path
       files (threads or processes, per ``explore_backend``).
-    * ``explore_backend`` — how a wave of replays executes: ``serial``,
-      ``thread`` or ``process``
+    * ``explore_backend`` — how a wave of replays executes: ``thread``
+      or ``process``
       (:data:`~repro.core.exploration.EXPLORE_BACKENDS`).  Replays come
       back as :class:`~repro.core.replay.TraceDelta` values merged in
       pop order, so exploration state *and* collection output are

@@ -59,12 +59,11 @@ ALL_STRATEGIES = (STRATEGY_BFS, STRATEGY_DFS, STRATEGY_RARITY)
 
 #: How one wave of replays executes.  The exploration outcome (order,
 #: covered-UCB set, collector records) is contractually identical across
-#: all three — backends trade wall clock, never results.
-BACKEND_SERIAL = "serial"
+#: both at any worker count — backends trade wall clock, never results.
 BACKEND_THREAD = "thread"
 BACKEND_PROCESS = "process"
 
-EXPLORE_BACKENDS = (BACKEND_SERIAL, BACKEND_THREAD, BACKEND_PROCESS)
+EXPLORE_BACKENDS = (BACKEND_THREAD, BACKEND_PROCESS)
 
 
 @dataclass

@@ -15,8 +15,8 @@ Scheduling is delegated to
 strategy order (``bfs`` / ``dfs`` / ``rarity-first``), and capped by a
 total replay budget.  Each wave of replays runs on isolated
 :class:`~repro.runtime.art.AndroidRuntime` instances through one of
-three backends — ``serial``, a ``thread`` pool, or a ``process`` pool
-of forked workers — and every replay comes back as a
+two backends — a ``thread`` pool or a ``process`` pool of forked
+workers — and every replay comes back as a
 :class:`~repro.core.replay.TraceDelta` that the engine merges strictly
 in pop order.  Because results travel as values and merging is ordered
 and single-threaded, the covered-site set, the collector's records and
@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from repro.core.collector import DexLegoCollector
 from repro.core.exploration import (
     BACKEND_PROCESS,
-    BACKEND_SERIAL,
     BACKEND_THREAD,
     EXPLORE_BACKENDS,
     STRATEGY_BFS,
@@ -158,8 +157,8 @@ class ForceExecutionEngine:
     popped from the scheduler (at most ``max_paths_per_iteration``).
     ``backend`` picks how a wave executes:
 
-    * ``serial`` — replays run one after another in this process;
-    * ``thread`` — replays run on a ``workers``-wide thread pool;
+    * ``thread`` — replays run on a ``workers``-wide thread pool (one
+      after another in this thread when ``workers`` is 1);
     * ``process`` — replays ship to a pool of forked worker processes
       as :class:`~repro.core.replay.ReplaySpec` values; each worker
       hydrates the APK once (warm-started from the parent's exported
@@ -209,7 +208,9 @@ class ForceExecutionEngine:
                 f"unknown explore backend {backend!r}; "
                 f"pick one of {EXPLORE_BACKENDS}"
             )
-        self.apk = apk
+        # Replays (and process workers, which get the bytes) run what
+        # the APK serialises to, so every backend sees the same model.
+        self.apk = apk.canonical()
         self._custom_drive = drive is not None
         self.drive = drive or (lambda driver: driver.run_standard_session())
         self.device = device
@@ -219,15 +220,15 @@ class ForceExecutionEngine:
             if self._custom_drive:
                 raise ValueError(
                     "the process backend cannot ship a custom drive "
-                    "callable to worker processes; use the thread or "
-                    "serial backend (or the default drive)"
+                    "callable to worker processes; use the thread "
+                    "backend (or the default drive)"
                 )
             if self.shared_listeners:
                 raise ValueError(
                     "the process backend cannot attach shared listeners "
                     "across a process boundary; pass collector= (its "
                     "records travel back as TraceDeltas) or use the "
-                    "thread or serial backend"
+                    "thread backend"
                 )
             if "fork" not in multiprocessing.get_all_start_methods():
                 # Forked workers are how native-library registries
@@ -440,8 +441,7 @@ class ForceExecutionEngine:
         """
         if self.backend == BACKEND_PROCESS:
             return self._replay_wave_process(wave)
-        if (self.backend == BACKEND_SERIAL or self.workers == 1
-                or len(wave) == 1):
+        if self.workers == 1 or len(wave) == 1:
             return [self._replay_inprocess(path) for path in wave]
         pool_size = min(self.workers, len(wave))
         with ThreadPoolExecutor(

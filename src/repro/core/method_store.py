@@ -65,6 +65,39 @@ class MethodRecord:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
+    def to_dict(self) -> dict:
+        """The method-data entry: everything but the trees, which the
+        archive stores in its own file and a replay delta nests."""
+        return {
+            "signature": self.signature,
+            "class": self.class_desc,
+            "name": self.name,
+            "params": list(self.param_descs),
+            "return": self.return_desc,
+            "access": self.access_flags,
+            "native": self.is_native,
+            "registers": self.registers_size,
+            "ins": self.ins_size,
+            "outs": self.outs_size,
+            "tries": [t.to_dict() for t in self.tries],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "MethodRecord":
+        return cls(
+            signature=data["signature"],
+            class_desc=data["class"],
+            name=data["name"],
+            param_descs=tuple(data["params"]),
+            return_desc=data["return"],
+            access_flags=data["access"],
+            is_native=data["native"],
+            registers_size=data["registers"],
+            ins_size=data["ins"],
+            outs_size=data["outs"],
+            tries=[CollectedTry.from_dict(t) for t in data["tries"]],
+        )
+
     def add_tree(self, tree: CollectionTree) -> bool:
         """Add a per-execution tree; returns False if it was a duplicate."""
         fingerprint = tree.fingerprint()
@@ -96,16 +129,6 @@ class MethodStore:
 
     def get(self, signature: str) -> MethodRecord | None:
         return self.records.get(signature)
-
-    def evict(self, signature: str) -> bool:
-        """Drop one record entirely; True when something was removed.
-
-        Used by corpus maintenance (an indexed method whose body now
-        lives in the :class:`~repro.index.corpus.CorpusIndex` can be
-        dropped from a long-lived store); a later re-link simply
-        re-creates the record via :meth:`ensure`.
-        """
-        return self.records.pop(signature, None) is not None
 
     def __len__(self) -> int:
         return len(self.records)

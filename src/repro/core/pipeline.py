@@ -255,6 +255,8 @@ class Pipeline:
             except OSError as exc:
                 raise StageError(STAGE_COLLECT, exc) from exc
         dex, revealed = self._offline(archive, apk, timings)
+        cluster_stats = self._cluster_stats(archive, apk.package)
+        archive.drop_decoded()  # results keep the files, not their decode
         return RevealResult(
             revealed_apk=revealed,
             reassembled_dex=dex,
@@ -266,7 +268,7 @@ class Pipeline:
             budget_exhausted=collected.budget_exhausted,
             stage_timings=timings,
             index_stats=self._index_stats(),
-            cluster_stats=self._cluster_stats(archive, apk.package),
+            cluster_stats=cluster_stats,
         )
 
     def reveal_from_archive(
@@ -289,6 +291,9 @@ class Pipeline:
             archive = source
         timings: dict[str, float] = {}
         dex, revealed = self._offline(archive, apk, timings)
+        cluster_stats = self._cluster_stats(
+            archive, apk.package if apk is not None else None)
+        archive.drop_decoded()
         return RevealResult(
             revealed_apk=revealed,
             reassembled_dex=dex,
@@ -296,8 +301,7 @@ class Pipeline:
             collector_stats={},
             stage_timings=timings,
             index_stats=self._index_stats(),
-            cluster_stats=self._cluster_stats(
-                archive, apk.package if apk is not None else None),
+            cluster_stats=cluster_stats,
         )
 
     def _offline(

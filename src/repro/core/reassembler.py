@@ -23,6 +23,7 @@ re-executes in the interpreter (round-trip tests).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.core.body_cache import BodyWriter, exact_method_digest, replay_body
@@ -57,9 +58,9 @@ class Reassembler:
 
     def __init__(
         self,
-        classes: dict[str, CollectedClass],
+        classes: Mapping[str, CollectedClass],
         store: MethodStore,
-        reflection_sites: dict[tuple[str, int], ReflectionSite] | None = None,
+        reflection_sites: Mapping[tuple[str, int], ReflectionSite] | None = None,
         body_cache=None,
     ) -> None:
         self.classes = classes

@@ -130,9 +130,11 @@ class CollectStage:
         crashed = False
         crash_reason = ""
         budget_exhausted = False
-        if predecode_index is not None:
-            warm_predecode(apk.dex_files, predecode_index)
         try:
+            # Collect on what the APK serialises to, whatever built it.
+            apk = apk.canonical()
+            if predecode_index is not None:
+                warm_predecode(apk.dex_files, predecode_index)
             if config.use_force_execution or resume_state is not None:
                 # ``drive`` passes through as-is: the engine must see
                 # ``None`` for the default drive so the process backend
@@ -228,9 +230,10 @@ class ReassembleStage:
             artifact: str | None = None) -> DexFile:
         self.last_index_stats = {}
         try:
+            store = archive.method_store()
             reassembler = Reassembler(
                 archive.collected_class_map(),
-                archive.method_store(),
+                store,
                 archive.reflection_sites(),
                 body_cache=self.index,
             )
@@ -238,7 +241,7 @@ class ReassembleStage:
             if self.index is not None:
                 try:
                     self.last_index_stats = self.index.register_reassembly(
-                        archive.method_store(), reassembler,
+                        store, reassembler,
                         app_id=app_id, artifact=artifact,
                     )
                 except OSError as exc:

@@ -95,6 +95,9 @@ class DexBuilder:
         return ClassBuilder(self, class_def, descriptor)
 
     def build(self) -> DexFile:
+        """The built DEX, canonical: already in the form it is written
+        in, so serialising it needs no canonical copy."""
+        self.dex.canonicalize()
         return self.dex
 
 

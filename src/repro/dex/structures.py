@@ -10,8 +10,10 @@ every index reference (including those embedded in instructions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import pairwise
+from operator import attrgetter
 
 from repro.dex.code_units import CodeUnits
 from repro.dex.constants import NO_INDEX, AccessFlags, EncodedValueType, shorty_of
@@ -217,6 +219,25 @@ class ClassDef:
     def all_fields(self) -> list[EncodedField]:
         return list(self.static_fields) + list(self.instance_fields)
 
+    def copy(self) -> "ClassDef":
+        return ClassDef(
+            self.class_idx,
+            self.access_flags,
+            self.superclass_idx,
+            list(self.interfaces),
+            self.source_file_idx,
+            [replace(f) for f in self.static_fields],
+            [replace(f) for f in self.instance_fields],
+            [_copy_method(m) for m in self.direct_methods],
+            [_copy_method(m) for m in self.virtual_methods],
+            [replace(v) for v in self.static_values],
+        )
+
+
+def _copy_method(method: EncodedMethod) -> EncodedMethod:
+    code = None if method.code is None else method.code.copy()
+    return EncodedMethod(method.method_idx, method.access_flags, code)
+
 
 # ---------------------------------------------------------------------------
 # The DexFile itself
@@ -397,13 +418,70 @@ class DexFile:
 
     # -- canonicalization ----------------------------------------------------
 
+    def copy(self) -> "DexFile":
+        """An independent model with the same content.  Code items share
+        their decode stores with the originals (see :meth:`CodeItem.copy`)."""
+        other = DexFile()
+        other.strings = list(self.strings)
+        other.type_ids = list(self.type_ids)
+        other.protos = [replace(p) for p in self.protos]
+        other.field_ids = [replace(f) for f in self.field_ids]
+        other.method_ids = [replace(m) for m in self.method_ids]
+        other.class_defs = [c.copy() for c in self.class_defs]
+        other._rebuild_indexes()
+        return other
+
+    def shorties(self) -> list[str]:
+        """Each proto's shorty descriptor, in proto order."""
+        shorties = []
+        for i in range(len(self.protos)):
+            return_desc, param_descs = self.proto_descs(i)
+            shorties.append(shorty_of(return_desc)
+                            + "".join(shorty_of(p) for p in param_descs))
+        return shorties
+
+    def is_canonical(self) -> bool:
+        """True when :meth:`canonicalize` would change nothing — as for
+        any model :func:`~repro.dex.reader.read_dex` returns."""
+
+        def ordered(items, key=None) -> bool:
+            keys = items if key is None else map(key, items)
+            return all(a <= b for a, b in pairwise(keys))
+
+        by_field = attrgetter("field_idx")
+        by_method = attrgetter("method_idx")
+        return (
+            all(s in self._string_index for s in self.shorties())
+            and ordered(self.strings)
+            and ordered(self.type_ids)
+            and ordered(self.protos,
+                        lambda p: (p.return_type_idx, p.param_type_idxs))
+            and ordered(self.field_ids,
+                        lambda f: (f.class_idx, f.name_idx, f.type_idx))
+            and ordered(self.method_ids,
+                        lambda m: (m.class_idx, m.name_idx, m.proto_idx))
+            and all(a is b for a, b in zip(self._class_def_order(),
+                                           self.class_defs))
+            and all(
+                len(c.static_values) == len(c.static_fields)
+                and ordered(c.static_fields, by_field)
+                and ordered(c.instance_fields, by_field)
+                and ordered(c.direct_methods, by_method)
+                and ordered(c.virtual_methods, by_method)
+                for c in self.class_defs
+            )
+        )
+
     def canonicalize(self) -> None:
         """Sort pools into binary-format order and remap all references.
 
         The DEX format requires: string_ids sorted by content, type_ids by
         string index, proto/field/method ids by their component indices and
-        class_defs with superclasses before subclasses.
+        class_defs with superclasses before subclasses.  Every proto's
+        shorty is interned first: shorties live in the string pool.
         """
+        for shorty in self.shorties():
+            self.intern_string(shorty)
         string_perm = _permutation(self.strings, key=lambda s: s)
         self.strings = _apply(self.strings, string_perm)
         self.type_ids = [string_perm[s] for s in self.type_ids]
@@ -470,7 +548,7 @@ class DexFile:
                     value.value = string_perm[value.value]
                 elif value.kind is EncodedValueType.TYPE:
                     value.value = type_perm[value.value]
-        self._sort_class_defs()
+        self.class_defs = self._class_def_order()
 
         remap = {
             IndexKind.STRING: string_perm,
@@ -483,8 +561,8 @@ class DexFile:
                 _remap_code(method.code, remap)
         self._rebuild_indexes()
 
-    def _sort_class_defs(self) -> None:
-        """Topologically order class_defs so superclasses come first."""
+    def _class_def_order(self) -> list[ClassDef]:
+        """class_defs in topological order: superclasses come first."""
         by_type = {c.class_idx: c for c in self.class_defs}
         ordered: list[ClassDef] = []
         visiting: set[int] = set()
@@ -512,7 +590,7 @@ class DexFile:
 
         for class_def in sorted(self.class_defs, key=lambda c: c.class_idx):
             visit(class_def)
-        self.class_defs = ordered
+        return ordered
 
     def _rebuild_indexes(self) -> None:
         self._ref_cache.clear()  # pool order changed: indices mean new refs

@@ -24,17 +24,15 @@ from repro.dex.structures import ClassDef, CodeItem, DexFile, EncodedValue
 from repro.errors import DexEncodeError
 
 
-def write_dex(dex: DexFile, canonicalize: bool = True) -> bytes:
-    """Serialise ``dex`` to binary.  Canonicalizes pools by default."""
-    # Shorty strings live in the string pool; intern them before layout so
-    # offsets computed in the writer stay valid.
-    from repro.dex.constants import shorty_of
+def write_dex(dex: DexFile) -> bytes:
+    """Serialise ``dex`` to binary, pools in canonical order.
 
-    for i in range(len(dex.protos)):
-        return_desc, param_descs = dex.proto_descs(i)
-        shorty = shorty_of(return_desc) + "".join(shorty_of(p) for p in param_descs)
-        dex.intern_string(shorty)
-    if canonicalize:
+    ``dex`` itself never changes: a model that is not canonical yet is
+    written through a canonicalized copy, so serialising a DEX an
+    interpreter is running cannot re-index it underneath the run.
+    """
+    if not dex.is_canonical():
+        dex = dex.copy()
         dex.canonicalize()
     return _Writer(dex).build()
 
@@ -126,8 +124,7 @@ class _Writer:
             body += struct.pack("<I", off)
         for string_idx in dex.type_ids:
             body += struct.pack("<I", string_idx)
-        for i, proto in enumerate(dex.protos):
-            shorty = self._proto_shorty(i)
+        for proto, shorty in zip(dex.protos, dex.shorties()):
             body += struct.pack(
                 "<III",
                 dex.intern_string(shorty),
@@ -155,12 +152,6 @@ class _Writer:
         result = bytearray(body)
         checksums.patch_header_digests(result)
         return bytes(result)
-
-    def _proto_shorty(self, proto_idx: int) -> str:
-        return_desc, param_descs = self.dex.proto_descs(proto_idx)
-        from repro.dex.constants import shorty_of
-
-        return shorty_of(return_desc) + "".join(shorty_of(p) for p in param_descs)
 
     # -- sections ---------------------------------------------------------------
 

@@ -127,6 +127,14 @@ class Apk:
         )
         return apk
 
+    def canonical(self) -> "Apk":
+        """This APK when every DEX is already in written (canonical)
+        form, else its from-bytes copy.  Collection runs on this, so an
+        APK reveals exactly like its bytes whatever produced its DEX."""
+        if all(dex.is_canonical() for dex in self.dex_files):
+            return self
+        return Apk.from_bytes(self.to_bytes())
+
     def clone(self) -> "Apk":
         """Deep copy via serialisation (what a packer service receives)."""
         return Apk.from_bytes(self.to_bytes())

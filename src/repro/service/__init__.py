@@ -11,7 +11,7 @@ the paper's evaluation (markets, app stores, analysis fleets):
   :class:`~repro.service.events.JobEvent` — the unified progress
   stream (lifecycle + pipeline stages + exploration waves + cache hits)
 * :class:`~repro.service.batch.BatchRevealService` — worker-pool
-  execution (thread / process / serial) with per-app crash isolation;
+  execution (thread / process) with per-app crash isolation;
   ``reveal_batch`` is now a façade over the server
 * :class:`~repro.service.cache.RevealCache` — content-addressed result
   cache keyed on DEX checksum × pipeline-config hash

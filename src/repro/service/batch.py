@@ -7,8 +7,8 @@ run it over *corpora*.  This module is that production posture:
 * a :class:`RevealJob` names one application plus its per-app knobs
   (device profile, drive callable, collect-only mode),
 * :class:`BatchRevealService` fans jobs across a ``concurrent.futures``
-  pool — thread-backed by default, process-backed for CPU-bound fleets,
-  or serial for debugging — with every job isolated so one crashing APK
+  pool — thread-backed by default, process-backed for CPU-bound
+  fleets — with every job isolated so one crashing APK
   produces an ``error`` record instead of aborting the batch,
 * results flow through the content-addressed
   :class:`~repro.service.cache.RevealCache`, so re-running a corpus only
@@ -76,7 +76,7 @@ from repro.service.outcomes import (
 )
 from repro.service.stats import BatchReport
 
-BACKENDS = ("thread", "process", "serial")
+BACKENDS = ("thread", "process")
 
 logger = logging.getLogger(__name__)
 
@@ -416,8 +416,7 @@ class BatchRevealService(SubmitAPI):
         (``max_pending=``, ``store=``, ``autostart=``...) pass through."""
         from repro.service.server import RevealServer
 
-        kwargs.setdefault(
-            "workers", 1 if self.backend == "serial" else self.workers)
+        kwargs.setdefault("workers", self.workers)
         return RevealServer(service=self, **kwargs)
 
     # -- SubmitAPI ----------------------------------------------------------
@@ -466,8 +465,7 @@ class BatchRevealService(SubmitAPI):
         A thin façade over the job server: cache hits resolve in the
         calling thread (a warm corpus never pays for queueing), then
         the misses run as ``submit`` + ``wait`` against an ephemeral
-        :class:`~repro.service.server.RevealServer` — one worker for
-        the ``serial`` backend.
+        :class:`~repro.service.server.RevealServer`.
         """
         job_list = [self._coerce(j) for j in jobs]
         started = time.perf_counter()
@@ -643,7 +641,7 @@ def _process_reveal(
     service = BatchRevealService(
         config=RevealConfig.from_dict(config_dict),
         workers=1,
-        backend="serial",
+        backend="thread",
     )
     job = RevealJob(app_id=app_id, apk=Apk.from_bytes(apk_bytes),
                     collect_only=collect_only)

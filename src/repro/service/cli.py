@@ -174,8 +174,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                              "path files (default: 1)")
     parser.add_argument("--explore-backend", choices=EXPLORE_BACKENDS,
                         default=BACKEND_THREAD,
-                        help="how a wave of replays executes: serial, "
-                             "thread or process workers — results are "
+                        help="how a wave of replays executes: thread "
+                             "or process workers — results are "
                              "bit-identical either way (default: thread)")
 
 

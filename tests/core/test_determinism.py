@@ -1,7 +1,7 @@
 """Differential determinism: the replay backends must be bit-identical.
 
 The tentpole contract of the process-parallel exploration work: every
-replay — serial, thread pool or process pool, at any worker count —
+replay — thread pool or process pool, at any worker count —
 comes back as a :class:`~repro.core.replay.TraceDelta` and is merged
 into shared state strictly in pop order by the engine's single thread.
 Therefore the *entire observable outcome* of an exploration is a pure
@@ -17,19 +17,20 @@ collection-archive payload byte for byte.
 import pytest
 
 from repro.benchsuite.categories.selfmod import samples as selfmod_samples
+from repro.benchsuite.codegen import generate_app
 from repro.core import (
     BACKEND_PROCESS,
-    BACKEND_SERIAL,
     BACKEND_THREAD,
     EXPLORE_BACKENDS,
     CollectionArchive,
     CollectStage,
     DexLegoCollector,
     ForceExecutionEngine,
+    Pipeline,
     RevealConfig,
 )
 from repro.core.collection_files import PREDECODE_INDEX_FILE
-from repro.dex import assemble
+from repro.dex import assemble, write_dex
 from repro.dex.instructions import Instruction
 from repro.runtime import Apk, register_native_library
 
@@ -188,7 +189,8 @@ def _explore(apk: Apk, backend: str, workers: int) -> dict:
 
 
 class TestBackendEquivalence:
-    """Serial is the reference; thread and process must match it."""
+    """One thread (``thread``@1) is the reference; wider thread pools
+    and the process backend must match it."""
 
     @pytest.mark.parametrize("sample", selfmod_samples(),
                              ids=lambda s: s.name)
@@ -196,40 +198,42 @@ class TestBackendEquivalence:
         # Self-modifying code is the adversarial case: replays decode
         # patched bytes, the predecode stores carry stale copies, and
         # process workers see the APK only through its serialised form.
-        reference = _explore(sample.build_apk(), BACKEND_SERIAL, 1)
+        reference = _explore(sample.build_apk(), BACKEND_THREAD, 1)
         for backend in (BACKEND_THREAD, BACKEND_PROCESS):
             for workers in (1, 2, 8):
+                if (backend, workers) == (BACKEND_THREAD, 1):
+                    continue  # the reference itself
                 got = _explore(sample.build_apk(), backend, workers)
                 assert got == reference, (
                     f"{sample.name}: {backend}@{workers} diverged from "
-                    f"the serial reference"
+                    f"the thread@1 reference"
                 )
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
     def test_branchy_workload_identical(self, backend, workers):
-        reference = _explore(_branchy_apk(), BACKEND_SERIAL, 1)
+        reference = _explore(_branchy_apk(), BACKEND_THREAD, 1)
         got = _explore(_branchy_apk(), backend, workers)
         assert got == reference
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
     def test_packer_workload_identical(self, backend, workers):
-        reference = _explore(_packer_apk(), BACKEND_SERIAL, 1)
+        reference = _explore(_packer_apk(), BACKEND_THREAD, 1)
         got = _explore(_packer_apk(), backend, workers)
         assert got == reference
 
     def test_packer_workload_actually_replays_patched_code(self):
         # Guard against vacuity: the packer workload must force the
         # gate *inside* the self-modified method via a real replay.
-        reference = _explore(_packer_apk(), BACKEND_SERIAL, 1)
+        reference = _explore(_packer_apk(), BACKEND_THREAD, 1)
         assert reference["summary"]["paths_explored"] >= 1
         assert any(site[0] == PACKED_SIG for site in reference["covered"])
 
     def test_exploration_order_is_meaningful(self):
         # Guard against the suite passing vacuously: the branchy
         # workload must actually replay multiple paths.
-        reference = _explore(_branchy_apk(), BACKEND_SERIAL, 1)
+        reference = _explore(_branchy_apk(), BACKEND_THREAD, 1)
         assert len(reference["order"]) >= 3
         assert reference["summary"]["runs"] >= 4  # baseline + replays
         assert len(reference["covered"]) >= 3
@@ -257,8 +261,7 @@ class TestPipelineEquivalence:
             # still match byte for byte.
             payload.pop(PREDECODE_INDEX_FILE, None)
             payloads[backend] = payload
-        assert payloads[BACKEND_THREAD] == payloads[BACKEND_SERIAL]
-        assert payloads[BACKEND_PROCESS] == payloads[BACKEND_SERIAL]
+        assert payloads[BACKEND_PROCESS] == payloads[BACKEND_THREAD]
 
     def test_config_hash_feeds_backend(self):
         base = RevealConfig()
@@ -278,3 +281,41 @@ class TestPipelineEquivalence:
             RevealConfig(explore_backend="gpu")
         with pytest.raises(ValueError, match="backend"):
             ForceExecutionEngine(_branchy_apk(), backend="gpu")
+
+
+def _generated_apk() -> Apk:
+    return generate_app("d.generated", 300, seed=1).apk
+
+
+class TestLiveModelMatchesItsBytes:
+    """Serialising an APK never re-indexes the DEX an interpreter runs,
+    and an APK fresh from a builder or the assembler reveals exactly
+    like its bytes."""
+
+    @pytest.mark.parametrize("build", [_generated_apk, _branchy_apk],
+                             ids=["built", "assembled"])
+    def test_to_bytes_leaves_pool_indices_alone(self, build):
+        apk = build()
+        dex = apk.primary_dex
+        strings = list(dex.strings)
+        before = [dex.method_ref(i) for i in range(len(dex.method_ids))]
+        apk.to_bytes()
+        assert dex.strings == strings
+        assert [dex.method_ref(i)
+                for i in range(len(dex.method_ids))] == before
+
+    @pytest.mark.parametrize("build", [_generated_apk, _branchy_apk],
+                             ids=["built", "assembled"])
+    def test_live_and_from_bytes_reveals_identical(self, build):
+        def reveal(apk, backend, workers):
+            result = Pipeline(RevealConfig(
+                use_force_execution=True, force_iterations=2,
+                explore_backend=backend, explore_workers=workers,
+            )).run(apk)
+            return (write_dex(result.reassembled_dex),
+                    result.collector_stats["unique_trees"])
+
+        from_bytes = reveal(Apk.from_bytes(build().to_bytes()),
+                            BACKEND_THREAD, 1)
+        assert reveal(build(), BACKEND_THREAD, 1) == from_bytes
+        assert reveal(build(), BACKEND_PROCESS, 2) == from_bytes

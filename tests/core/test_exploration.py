@@ -347,12 +347,11 @@ class TestResume:
         config = RevealConfig(use_force_execution=True, max_paths=1,
                               force_iterations=8)
         collected = CollectStage(config).run(apk)
-        prior_classes = {e["descriptor"] for e in collected.archive.classes()}
+        prior_classes = set(collected.archive.collected_class_map())
         assert prior_classes  # baseline drive collected the app
         collected.archive.save(str(tmp_path))
         result = resume_exploration(str(tmp_path), apk, config=config)
-        resumed_classes = {e["descriptor"]
-                           for e in result.archive.classes()}
+        resumed_classes = set(result.archive.collected_class_map())
         assert prior_classes <= resumed_classes
         assert result.reassembled_dex.class_defs
 
@@ -365,15 +364,15 @@ class TestResume:
                               archive_dir=str(tmp_path))
         first = DexLego(config=config).reveal(apk)
         assert first.force_report.frontier_pending == 0
-        classes_before = {e["descriptor"] for e in first.archive.classes()}
+        classes_before = set(first.archive.collected_class_map())
 
         again = resume_exploration(str(tmp_path), apk, config=config)
         assert again.force_report.runs == first.force_report.runs  # no re-run
-        assert {e["descriptor"] for e in again.archive.classes()} == \
+        assert set(again.archive.collected_class_map()) == \
             classes_before
         # The on-disk archive still reassembles to the same classes.
         on_disk = CollectionArchive.load(str(tmp_path))
-        assert {e["descriptor"] for e in on_disk.classes()} == classes_before
+        assert set(on_disk.collected_class_map()) == classes_before
         assert again.reassembled_dex.class_defs
 
     def test_merged_archive_dedupes_bytecode_trees(self):

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import (
     BACKEND_PROCESS,
-    BACKEND_SERIAL,
     BACKEND_THREAD,
     CollectStage,
     RevealConfig,
@@ -53,17 +52,6 @@ class TestStoreSemantics:
 
     def test_get_miss_is_none(self):
         assert MethodStore().get("La/C;->missing()V") is None
-
-    def test_evict_then_relink(self):
-        store = MethodStore()
-        store.ensure(_record())
-        assert store.evict("La/C;->m()V") is True
-        assert store.evict("La/C;->m()V") is False
-        assert store.get("La/C;->m()V") is None
-        assert len(store) == 0
-        # A later re-link recreates the record from scratch.
-        fresh = store.ensure(_record())
-        assert fresh.trees == []
 
     def test_add_tree_to_unknown_signature_is_refused(self):
         store = MethodStore()
@@ -164,20 +152,11 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", [BACKEND_THREAD, BACKEND_PROCESS])
     def test_store_contents_identical_across_backends(self, backend,
                                                       workers):
-        reference = _snapshot(_collect_store(BACKEND_SERIAL, 1))
+        reference = _snapshot(_collect_store(BACKEND_THREAD, 1))
         assert _snapshot(_collect_store(backend, workers)) == reference
 
     def test_reference_store_is_not_vacuous(self):
-        store = _collect_store(BACKEND_SERIAL, 1)
+        store = _collect_store(BACKEND_THREAD, 1)
         executed = store.executed_records()
         assert len(executed) >= 2  # onCreate + helper at minimum
         assert any(rec.trees for rec in executed)
-
-    def test_eviction_on_a_collected_store(self):
-        store = _collect_store(BACKEND_SERIAL, 1)
-        target = store.executed_records()[0].signature
-        before = len(store)
-        assert store.evict(target) is True
-        assert len(store) == before - 1
-        assert all(rec.signature != target
-                   for rec in store.executed_records())

@@ -103,7 +103,8 @@ class TestRoundTrip:
 
     def test_instructions_identical(self):
         original = _sample_dex()
-        raw = write_dex(original)  # canonicalizes in place
+        original.canonicalize()  # write_dex leaves its input alone
+        raw = write_dex(original)
         reread = read_dex(raw)
         for cls_o, cls_r in zip(original.class_defs, reread.class_defs):
             for m_o, m_r in zip(cls_o.all_methods(), cls_r.all_methods()):

@@ -211,7 +211,7 @@ class TestArchiveCarriesWarmth:
         from tests.core.test_determinism import _branchy_apk
 
         outcomes = {}
-        for backend in ("serial", "process"):
+        for backend in ("thread", "process"):
             base = tmp_path / backend
             first = RevealConfig(use_force_execution=True,
                                  force_iterations=8, max_paths=1,
@@ -232,4 +232,4 @@ class TestArchiveCarriesWarmth:
                 "covered": report.ucbs_covered,
                 "runs": report.runs,
             }
-        assert outcomes["process"] == outcomes["serial"]
+        assert outcomes["process"] == outcomes["thread"]
