@@ -15,11 +15,11 @@ SERVE_SMOKE_STORE ?= .serve-smoke
 
 .PHONY: test test-determinism test-chaos bench bench-batch bench-force \
         bench-interp bench-index bench-cluster bench-smoke bench-check \
-        serve-smoke gateway-smoke profile lint ci all help
+        bench-verify serve-smoke gateway-smoke profile lint ci all help
 
 help:
 	@echo "make test        - tier-1 verify: full pytest suite (-x -q)"
-	@echo "make test-determinism - differential suite: thread/process replay backends bit-identical, collection codec round trips"
+	@echo "make test-determinism - differential suite: thread/process replay backends bit-identical, collection codec round trips, pinned collection bytes"
 	@echo "make test-chaos  - seeded fault schedules vs gateway + worker fleet: exactly-once, byte-identical artifacts"
 	@echo "make bench       - regenerate every paper table/figure (pytest-benchmark)"
 	@echo "make bench-batch - batch-service throughput: serial vs parallel, cold vs warm cache"
@@ -29,25 +29,28 @@ help:
 	@echo "make bench-cluster - LSH nearest vs linear scan (>=10x @ recall >=0.95) + reveal-and-label throughput"
 	@echo "make bench-smoke - every benchmark once in quick mode (--benchmark-disable); timing JSON to $(BENCH_TIMINGS)"
 	@echo "make bench-check - gate $(BENCH_TIMINGS) against the committed $(BENCH_BASELINE) (>25% total regression fails)"
+	@echo "make bench-verify - perfbench output checks: force-explore DEX/coverage vs expected.json (thread, process), seed-1 thread/process agreement"
 	@echo "make serve-smoke - boot the reveal server, submit two jobs, assert clean shutdown"
 	@echo "make gateway-smoke - gateway + 2 fleet workers: HTTP submit, fetch artifact, diff vs in-process"
 	@echo "make profile     - cProfile one reveal, print top-20 cumulative (tools/profile_reveal.py)"
 	@echo "make lint        - byte-compile everything (syntax floor; uses pyflakes when present)"
-	@echo "make ci          - exactly what the CI workflow runs: lint + test + test-determinism + test-chaos + bench-smoke + bench-check + serve-smoke + gateway-smoke"
+	@echo "make ci          - exactly what the CI workflow runs: lint + test + test-determinism + test-chaos + bench-smoke + bench-check + bench-verify + serve-smoke + gateway-smoke"
 
 test:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
 
 # The differential determinism suite on its own: every replay backend
 # (thread / process, 1..8 workers) must produce bit-identical
-# exploration, collection and archives, and the collection files must
-# round-trip byte for byte through their one codec.  Part of `make test`
-# too; this target exists so CI (and bisects) can run the contract in
-# isolation with verbose per-case output.
+# exploration, collection and archives, the collection files must
+# round-trip byte for byte through their one codec and match their
+# pinned digests, and a replay must never ship a tree the engine
+# already holds.  Part of `make test` too; this target exists so CI
+# (and bisects) can run the contract in isolation with verbose
+# per-case output.
 test-determinism:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest tests/core/test_determinism.py \
 		tests/core/test_replay_spec.py tests/runtime/test_predecode_warm.py \
-		tests/core/test_collection_codec.py -q
+		tests/core/test_collection_codec.py tests/core/test_collection_pins.py -q
 
 # The chaos suite on its own: deterministic seeded fault schedules
 # (store I/O, network, worker kills) against a live gateway and a
@@ -91,6 +94,20 @@ bench-smoke:
 bench-check:
 	$(PYTHON) tools/check_bench_regression.py $(BENCH_BASELINE) $(BENCH_TIMINGS)
 
+# The reveal benchmark's output checks, timing aside (one short unit
+# each): force-explore's revealed DEX SHA-256, paths_executed and
+# fully_covered_sites against perfbench/expected.json on the thread and
+# the process backend, and at seed 1 the thread/process agreement.
+# perfbench/run.py leaves an empty .bench_work/ behind; rmdir removes
+# it only when nothing else is using it.
+bench-verify:
+	@status=0; \
+	$(PYTHON) perfbench/run.py --workload force-explore --seed 0 --seconds 1 --trace 0 || status=1; \
+	$(PYTHON) perfbench/run.py --workload force-explore-proc --seed 0 --seconds 1 --trace 0 || status=1; \
+	$(PYTHON) perfbench/run.py --workload force-explore --seed 1 --seconds 1 --trace 0 || status=1; \
+	rmdir .bench_work 2>/dev/null || true; \
+	exit $$status
+
 # Profile a single reveal (top-20 cumulative by default) so perf work
 # starts from data; see tools/profile_reveal.py --help for knobs.
 profile:
@@ -126,7 +143,7 @@ lint:
 
 # Mirrors .github/workflows/ci.yml: the test job runs lint + test +
 # test-determinism + test-chaos, the bench-smoke job runs bench-smoke
-# + bench-check + serve-smoke + gateway-smoke.
-ci: lint test test-determinism test-chaos bench-smoke bench-check serve-smoke gateway-smoke
+# + bench-check + bench-verify + serve-smoke + gateway-smoke.
+ci: lint test test-determinism test-chaos bench-smoke bench-check bench-verify serve-smoke gateway-smoke
 
 all: lint test

@@ -20,6 +20,7 @@ from types import MappingProxyType
 from repro import faults
 from repro.core.collector import CollectedClass, DexLegoCollector, ReflectionSite
 from repro.core.method_store import MethodStore
+from repro.core.tree import CollectionTree
 from repro.runtime.predecode import validate_predecode_index
 
 CLASS_DATA_FILE = "class_data.json"
@@ -62,10 +63,13 @@ class CollectionArchive:
     """Serialised collection output (the paper's "Collected Files").
 
     Every record type goes through its one ``to_dict``/``from_dict``
-    codec — the same one replay deltas use — so an archive is the
-    delta form of a collector split across the Figure-2 files.
-    Reading decodes the files once into a collector; the reader
-    accessors are views of that decode (until :meth:`drop_decoded`).
+    codec — the same one a replay delta uses at a JSON boundary — so
+    an archive is the delta form of a collector split across the
+    Figure-2 files.  Reading decodes the files once into a collector
+    (trees rebuilt as objects, then :meth:`DexLegoCollector.from_delta`);
+    the reader accessors are views of that decode (until
+    :meth:`drop_decoded`).  The two optional state files are written
+    compact; the collection files keep their indented layout.
     """
 
     def __init__(self, payload: dict[str, str]) -> None:
@@ -224,7 +228,8 @@ class CollectionArchive:
         if state is None:
             self._payload.pop(EXPLORATION_STATE_FILE, None)
         else:
-            self._payload[EXPLORATION_STATE_FILE] = json.dumps(state, indent=1)
+            self._payload[EXPLORATION_STATE_FILE] = json.dumps(
+                state, separators=(",", ":"))
 
     # -- predecode index (warm decode state) --------------------------------
 
@@ -245,7 +250,8 @@ class CollectionArchive:
         if index is None:
             self._payload.pop(PREDECODE_INDEX_FILE, None)
         else:
-            self._payload[PREDECODE_INDEX_FILE] = json.dumps(index, indent=1)
+            self._payload[PREDECODE_INDEX_FILE] = json.dumps(
+                index, separators=(",", ":"))
 
     # -- deserialisation into reassembler inputs ----------------------------
 
@@ -255,9 +261,10 @@ class CollectionArchive:
             fields: dict[str, list[dict]] = {}
             for entry in self._load(FIELD_DATA_FILE):
                 fields.setdefault(entry["class"], []).append(entry)
-            trees: dict[str, list[dict]] = {}
+            trees: dict[str, list[CollectionTree]] = {}
             for entry in self._load(BYTECODE_FILE):
-                trees.setdefault(entry["method"], []).append(entry)
+                trees.setdefault(entry["method"], []).append(
+                    CollectionTree.from_dict(entry))
             self._decoded = DexLegoCollector.from_delta({
                 "classes": [
                     {**entry, "fields": fields.get(entry["descriptor"], [])}

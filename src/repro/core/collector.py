@@ -7,7 +7,8 @@ collects, the moment ART touches them:
   method structures, try blocks);
 * static field values at initialization time;
 * executed instructions at interpreter-fetch time, fed through
-  Algorithm 1 into per-execution collection trees;
+  Algorithm 1 into per-execution collection trees (one interned record
+  per distinct decoded instruction);
 * resolved reflective-call targets at ``Method.invoke`` dispatch.
 
 Only application classes (those backed by a DEX file) are collected —
@@ -129,20 +130,39 @@ class ReflectionSite:
 
 
 class DexLegoCollector(RuntimeListener):
-    """The JIT collection component of DexLego."""
+    """The JIT collection component of DexLego.
 
-    def __init__(self) -> None:
+    ``interned`` is the instruction interning table: ``id(ins)`` ->
+    ``(ins, source dex, dex_pc, CollectedInstruction)``.  Collectors
+    that execute the same live APK one after another (the replays of
+    one force-execution run, or of one worker process) pass the same
+    dict, so each distinct decoded instruction is collected once.
+
+    ``known`` holds the digests (:meth:`CollectionTree.digest`) of trees
+    the receiver of this collector's delta already holds.  A finished
+    tree whose digest is in it is dropped at frame exit instead of
+    being shipped, which cannot change the merged result: the receiver
+    would reject it as a duplicate.
+    """
+
+    def __init__(self, interned: dict | None = None,
+                 known: frozenset = frozenset()) -> None:
         self.classes: dict[str, CollectedClass] = {}
         self.method_store = MethodStore()
         self.reflection_sites: dict[tuple[str, int], ReflectionSite] = {}
-        self._active_trees: dict[int, CollectionTree] = {}
+        self.interned: dict = {} if interned is None else interned
+        self._known = known
+        # Fingerprints of finished trees already stored or dropped, so
+        # a repeat skips the digest (only used when ``known`` is set).
+        self._seen: set = set()
+        # frame -> [tree, source dex, instructions observed].  The
+        # count is folded into instructions_observed at method exit
+        # under the lock: a frame belongs to exactly one thread, so the
+        # hot per-instruction increment never contends, and the shared
+        # total never loses updates when parallel force-execution
+        # replays share this collector.
+        self._frames: dict = {}
         self.instructions_observed = 0
-        # Per-frame event counts, folded into instructions_observed at
-        # method exit under the lock: a frame belongs to exactly one
-        # thread, so the hot per-instruction increment never contends,
-        # and the shared total never loses updates when parallel
-        # force-execution replays share this collector.
-        self._frame_counts: dict[int, int] = {}
         self._stats_lock = threading.Lock()
 
     # -- class linking (metadata collection) --------------------------------
@@ -217,40 +237,73 @@ class DexLegoCollector(RuntimeListener):
 
     def on_method_enter(self, frame) -> None:
         method = frame.method
-        if method.declaring_class.source_dex is None or method.code is None:
+        dex = method.declaring_class.source_dex
+        if dex is None or method.code is None:
             return
         code = method.code
-        self._active_trees[id(frame)] = CollectionTree(
+        tree = CollectionTree(
             method.ref.signature,
             code.registers_size,
             code.ins_size,
             code.outs_size,
         )
+        self._frames[frame] = [tree, dex, 0]
 
     def on_instruction(self, frame, dex_pc: int, ins) -> None:
-        tree = self._active_trees.get(id(frame))
-        if tree is None:
+        state = self._frames.get(frame)
+        if state is None:
             return
-        key = id(frame)
-        self._frame_counts[key] = self._frame_counts.get(key, 0) + 1
-        units = tuple(frame.code_units[dex_pc : dex_pc + ins.unit_count])
-        payload_units = None
+        state[2] += 1
+        hit = self.interned.get(id(ins))
+        if hit is not None and hit[0] is ins and hit[1] is state[1] \
+                and hit[2] == dex_pc:
+            collected = hit[3]
+            # Algorithm 1's commonest case, decided without the call:
+            # the same record at the same position is skipped.
+            current = state[0].current
+            index = current.iim.get(dex_pc)
+            if index is not None and current.il[index] is collected:
+                return
+        else:
+            collected = self._collect(frame, dex_pc, ins, state[1])
+        state[0].observe(collected)
+
+    def _collect(self, frame, dex_pc: int, ins, dex) -> CollectedInstruction:
+        """Build the record for one fetch from the live code units.
+
+        The record is interned only when ``ins`` is the code item's
+        shared decode at ``dex_pc``: that object was decoded from the
+        raw units the shared store keeps, and the interpreter reuses it
+        only while the live bytes still equal them.  A fresh decode
+        (the reference interpreter, or self-modified code) never
+        matches, so the table stays bounded by code size, and 31t
+        instructions are never interned because their payload is read
+        live on every fetch.
+        """
+        code_units = frame.code_units
+        units = tuple(code_units[dex_pc : dex_pc + ins.unit_count])
+        symbol = self._resolve_symbol(dex, ins)
         if ins.opcode.fmt == "31t":
+            payload_units = None
             target = dex_pc + ins.branch_target
-            if 0 <= target < len(frame.code_units):
-                count = payload_unit_count(frame.code_units, target)
-                payload_units = tuple(frame.code_units[target : target + count])
-        symbol = self._resolve_symbol(frame, ins)
-        tree.observe(CollectedInstruction(dex_pc, units, payload_units, symbol))
+            if 0 <= target < len(code_units):
+                count = payload_unit_count(code_units, target)
+                payload_units = tuple(code_units[target : target + count])
+            return CollectedInstruction(dex_pc, units, payload_units, symbol)
+        collected = CollectedInstruction(dex_pc, units, None, symbol)
+        shared = getattr(code_units, "shared", None)
+        entry = shared.get(dex_pc) if shared is not None else None
+        if entry is not None and entry[1] is ins:
+            self.interned[id(ins)] = (ins, dex, dex_pc, collected)
+        return collected
 
     @staticmethod
-    def _resolve_symbol(frame, ins) -> str | None:
+    def _resolve_symbol(dex, ins) -> str | None:
         """Resolve the pool reference to its symbolic form (JIT collection
         of the "related objects" — string / type / field / method)."""
         kind = ins.opcode.index_kind
         if kind is IndexKind.NONE:
             return None
-        dex = frame.method.declaring_class.source_dex
         index = ins.pool_index
         if kind is IndexKind.STRING:
             return dex.string(index)
@@ -261,15 +314,26 @@ class DexLegoCollector(RuntimeListener):
         return dex.method_ref(index).signature
 
     def on_method_exit(self, frame, result) -> None:
-        tree = self._active_trees.pop(id(frame), None)
-        if tree is None:
+        state = self._frames.pop(frame, None)
+        if state is None:
             return
-        observed = self._frame_counts.pop(id(frame), 0)
+        tree, _dex, observed = state
         if observed:
             with self._stats_lock:
                 self.instructions_observed += observed
         if tree.root.il:
-            self.method_store.add_tree(tree.method_signature, tree)
+            self._keep(tree)
+
+    def _keep(self, tree: CollectionTree) -> None:
+        """Store a finished tree unless the receiver already holds it."""
+        if self._known:
+            fingerprint = tree.fingerprint()
+            if fingerprint in self._seen:
+                return
+            self._seen.add(fingerprint)
+            if tree.digest() in self._known:
+                return
+        self.method_store.add_tree(tree.method_signature, tree)
 
     # -- reflection (§IV-D) -------------------------------------------------------
 
@@ -293,25 +357,27 @@ class DexLegoCollector(RuntimeListener):
     # -- deltas (process-parallel exploration, archive decode, resume) ------
 
     def delta_dict(self) -> dict:
-        """Everything this collector holds, as a JSON-safe value.
+        """Everything this collector holds, as one merge unit.
 
         The unit a replay ships back to the engine: a private
-        per-replay collector serialises itself and the engine absorbs
-        the deltas strictly in pop order, so the merged collector is
-        identical no matter which backend or worker count executed the
-        replays.  Instruction counts still sitting in per-frame
-        buckets (a frame that never exited because the run crashed)
-        are deliberately excluded, matching what a directly-attached
-        collector would have folded in.  Each record type encodes
-        through its own ``to_dict``, the same codec the collection
-        files use; only the trees differ in placement (nested per
-        method here, one flat file in an archive).
+        per-replay collector hands over its records and the engine
+        absorbs the deltas strictly in pop order, so the merged
+        collector is identical no matter which backend or worker count
+        executed the replays.  Every frame has exited by the time a
+        drive returns (the interpreter fires ``on_method_exit`` in a
+        ``finally``, also when a crash or an exhausted budget unwinds
+        it), so the delta carries every observed instruction count and
+        every finished tree that is not in ``known``.  Classes, method
+        records and reflection sites encode through their own
+        ``to_dict``, the same codec the collection files use; the trees
+        stay :class:`CollectionTree` objects (by reference in-process,
+        pickled by a process pool) and become dicts only at a JSON
+        boundary (:func:`delta_to_json`).
         """
         return {
             "classes": [c.to_dict() for c in self.classes.values()],
             "methods": [
-                {**record.to_dict(),
-                 "trees": [t.to_dict() for t in record.trees]}
+                {**record.to_dict(), "trees": list(record.trees)}
                 for record in self.method_store.records.values()
             ],
             "reflection": [site.to_dict()
@@ -368,8 +434,8 @@ class DexLegoCollector(RuntimeListener):
         for entry in delta.get("methods", ()):
             record = self.method_store.get(entry["signature"]) or \
                 self.method_store.ensure(MethodRecord.from_dict(entry))
-            for tree_data in entry["trees"]:
-                record.add_tree(CollectionTree.from_dict(tree_data))
+            for tree in entry["trees"]:
+                record.add_tree(tree)
         for entry in delta.get("reflection", ()):
             incoming = ReflectionSite.from_dict(entry)
             site = self.reflection_sites.setdefault(
@@ -399,6 +465,24 @@ class DexLegoCollector(RuntimeListener):
             "collected_instructions": self.method_store.total_collected_instructions(),
             "reflection_sites": len(self.reflection_sites),
         }
+
+
+def delta_to_json(delta: dict) -> dict:
+    """A :meth:`DexLegoCollector.delta_dict` value made JSON-safe: the
+    trees become dicts.  :func:`delta_from_json` inverts it."""
+    return {**delta, "methods": [
+        {**entry, "trees": [tree.to_dict() for tree in entry["trees"]]}
+        for entry in delta.get("methods", ())
+    ]}
+
+
+def delta_from_json(data: dict) -> dict:
+    """A delta decoded from JSON, trees rebuilt as objects."""
+    return {**data, "methods": [
+        {**entry, "trees": [CollectionTree.from_dict(tree)
+                            for tree in entry["trees"]]}
+        for entry in data.get("methods", ())
+    ]}
 
 
 def _encode_static(value) -> tuple:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.collector import DexLegoCollector
 from repro.core.exploration import (
@@ -248,6 +249,9 @@ class ForceExecutionEngine:
         # changes once site_trace holds it, so build each once.
         self._candidates: dict[FlipKey, PathFile] = {}
         self._pool: ProcessPoolExecutor | None = None
+        # The instruction interning table of in-process replays; it
+        # points into this engine's APK, so it lives as long as it.
+        self._interned: dict = {}
         self._report_seed: dict | None = None
         self._resumed = False
         self.last_report: ForceExecutionReport | None = None
@@ -268,8 +272,8 @@ class ForceExecutionEngine:
 
     # -- one run ------------------------------------------------------------
 
-    def _inprocess_spec(self, path: PathFile | None,
-                        budget: int) -> ReplaySpec:
+    def _inprocess_spec(self, path: PathFile | None, budget: int,
+                        known: frozenset) -> ReplaySpec:
         """A spec for a replay that stays in this process (no APK bytes
         — the live object is passed alongside and shares its warm
         decode stores across the wave)."""
@@ -280,21 +284,37 @@ class ForceExecutionEngine:
             path=path,
             step_budget=budget,
             collect=self.collector is not None,
+            known_trees=known,
+        )
+
+    def _known_trees(self) -> frozenset:
+        """Digests of every tree the engine's collector holds: handed
+        to a wave's replays, which then ship only trees new to it."""
+        if self.collector is None:
+            return frozenset()
+        return frozenset(
+            tree.digest()
+            for record in self.collector.method_store.records.values()
+            for tree in record.trees
         )
 
     def _run_baseline(self) -> TraceDelta:
         """The "previous execution" baseline of Figure 4."""
-        spec = self._inprocess_spec(None, self.run_budget)
+        spec = self._inprocess_spec(None, self.run_budget,
+                                    self._known_trees())
         return execute_replay(spec, apk=self.apk, drive=self.drive,
-                              extra_listeners=tuple(self.shared_listeners))
+                              extra_listeners=tuple(self.shared_listeners),
+                              interned=self._interned)
 
-    def _replay_inprocess(self, path: PathFile) -> TraceDelta:
+    def _replay_inprocess(self, known: frozenset,
+                          path: PathFile) -> TraceDelta:
         # Round-trip through the serialised path-file format, exactly
         # like a spec shipped to a worker process would.
         spec = self._inprocess_spec(PathFile.from_json(path.to_json()),
-                                    self.path_budget)
+                                    self.path_budget, known)
         return execute_replay(spec, apk=self.apk, drive=self.drive,
-                              extra_listeners=tuple(self.shared_listeners))
+                              extra_listeners=tuple(self.shared_listeners),
+                              interned=self._interned)
 
     def _merge_trace(self, trace: list[Decision]) -> None:
         for index, (signature, dex_pc, taken) in enumerate(trace):
@@ -387,7 +407,8 @@ class ForceExecutionEngine:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def _replay_wave_process(self, wave: list[PathFile]) -> list[TraceDelta]:
+    def _replay_wave_process(self, wave: list[PathFile],
+                             known: frozenset) -> list[TraceDelta]:
         """One wave on the worker pool, with crash isolation.
 
         Paths ship as serialised path files; results come back as
@@ -407,7 +428,7 @@ class ForceExecutionEngine:
             for j, path in enumerate(wave):
                 if results[j] is None:
                     futures[j] = pool.submit(_process_worker_replay,
-                                             path.to_json())
+                                             path.to_json(), known)
 
         def harvest_done() -> None:
             for j in range(len(wave)):
@@ -437,17 +458,22 @@ class ForceExecutionEngine:
         """Replay one wave of path files on isolated runtimes.
 
         Deltas come back in wave (pop) order regardless of backend, so
-        the merged exploration state is worker-count-independent.
+        the merged exploration state is worker-count-independent.  Every
+        replay gets the digests of the trees the engine holds now, at
+        the wave's start, and leaves those trees out of its delta:
+        absorbing them could only be rejected as duplicates.
         """
+        known = self._known_trees()
         if self.backend == BACKEND_PROCESS:
-            return self._replay_wave_process(wave)
+            return self._replay_wave_process(wave, known)
+        replay = partial(self._replay_inprocess, known)
         if self.workers == 1 or len(wave) == 1:
-            return [self._replay_inprocess(path) for path in wave]
+            return [replay(path) for path in wave]
         pool_size = min(self.workers, len(wave))
         with ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix="explore"
         ) as pool:
-            return list(pool.map(self._replay_inprocess, wave))
+            return list(pool.map(replay, wave))
 
     # -- iteration loop -----------------------------------------------------------
 

@@ -99,7 +99,11 @@ class MethodRecord:
         )
 
     def add_tree(self, tree: CollectionTree) -> bool:
-        """Add a per-execution tree; returns False if it was a duplicate."""
+        """Add a per-execution tree; returns False if it was a duplicate.
+
+        The exact fingerprint (cached on the tree) decides; digests
+        only ever filter trees out before they get here.
+        """
         fingerprint = tree.fingerprint()
         with self._tree_lock:
             if fingerprint in self._fingerprints:

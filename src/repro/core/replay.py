@@ -12,17 +12,19 @@ defines that boundary:
   (:mod:`repro.runtime.predecode`) so the worker warm-starts instead of
   re-decoding.  Compact, picklable, JSON-round-trippable.
 * :class:`TraceDelta` — everything one replay produced: the ordered
-  branch decisions, a serialised collector delta (classes, method
-  trees, reflection targets, instruction counts), the steps consumed
-  and the outcome flags.  The engine merges deltas strictly in pop
-  order, which is the whole determinism contract: because *results*
-  travel as values and *merging* is single-threaded and ordered, the
-  covered-site set, collector stats and exploration order are
-  bit-for-bit identical at any worker count on any backend.
+  branch decisions, the collector delta (classes, method records with
+  their new trees, reflection targets, instruction counts), the steps
+  consumed and the outcome flags.  Trees the engine already held when
+  the wave started never enter a delta (``ReplaySpec.known_trees``).
+  The engine merges deltas strictly in pop order, which is the whole
+  determinism contract: because *results* travel as values and
+  *merging* is single-threaded and ordered, the covered-site set,
+  collector stats and exploration order are bit-for-bit identical at
+  any worker count on any backend.
 * :func:`execute_replay` — the one replay body all backends share:
   hydrate (or borrow) an APK, build a fresh runtime + tracer + private
-  collector, drive, and return the delta.  Serial and thread backends
-  call it in-process against the engine's APK; the process backend
+  collector, drive, and return the delta.  The thread backend calls it
+  in-process against the engine's APK; the process backend
   calls it in a forked worker against a hydrated copy.
 
 The module-level ``_process_worker_*`` functions are the process-pool
@@ -41,7 +43,11 @@ import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.core.collector import DexLegoCollector
+from repro.core.collector import (
+    DexLegoCollector,
+    delta_from_json,
+    delta_to_json,
+)
 from repro.core.exploration import BranchSite, Decision, PathFile
 from repro.errors import BudgetExceeded, VmCrash
 from repro.runtime.apk import Apk
@@ -115,6 +121,9 @@ class ReplaySpec:
     decode state (content-validated on adoption).  ``collect`` turns
     the per-replay collector off for engines that only measure
     coverage — the delta then carries no collector payload.
+    ``known_trees`` is the set of tree digests the engine held when
+    this replay's wave started; the replay's collector drops those
+    trees instead of shipping them back.
     """
 
     app_id: str
@@ -124,6 +133,7 @@ class ReplaySpec:
     step_budget: int = 2_000_000
     predecode_index: dict | None = None
     collect: bool = True
+    known_trees: frozenset = frozenset()
 
     def with_path(self, path: PathFile | None) -> "ReplaySpec":
         return dataclasses.replace(self, path=path)
@@ -146,6 +156,7 @@ class ReplaySpec:
             "step_budget": self.step_budget,
             "predecode_index": self.predecode_index,
             "collect": self.collect,
+            "known_trees": sorted(d.hex() for d in self.known_trees),
         }
 
     @classmethod
@@ -159,6 +170,8 @@ class ReplaySpec:
             step_budget=data.get("step_budget", 2_000_000),
             predecode_index=data.get("predecode_index"),
             collect=bool(data.get("collect", True)),
+            known_trees=frozenset(bytes.fromhex(d)
+                                  for d in data.get("known_trees", ())),
         )
 
 
@@ -195,7 +208,8 @@ class TraceDelta:
     def to_dict(self) -> dict:
         return {
             "trace": [list(d) for d in self.trace],
-            "collector": self.collector,
+            "collector": (None if self.collector is None
+                          else delta_to_json(self.collector)),
             "steps": self.steps,
             "budget_hit": self.budget_hit,
             "crashed": self.crashed,
@@ -206,9 +220,11 @@ class TraceDelta:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceDelta":
+        collector = data.get("collector")
         return cls(
             trace=[(d[0], d[1], bool(d[2])) for d in data.get("trace", [])],
-            collector=data.get("collector"),
+            collector=(None if collector is None
+                       else delta_from_json(collector)),
             steps=data.get("steps", 0),
             budget_hit=bool(data.get("budget_hit", False)),
             crashed=bool(data.get("crashed", False)),
@@ -223,13 +239,17 @@ def execute_replay(
     apk: Apk | None = None,
     drive=None,
     extra_listeners: tuple = (),
+    interned: dict | None = None,
 ) -> TraceDelta:
     """The one replay body every backend shares.
 
     Builds an isolated runtime for ``spec`` and returns its delta.
     ``apk`` lets in-process backends reuse the engine's live object
     (sharing its decode stores) instead of deserialising; a worker
-    process passes its hydrated copy.  ``drive`` and
+    process passes its hydrated copy.  ``interned`` is the instruction
+    interning table of the collector (see :class:`DexLegoCollector`);
+    it must belong to ``apk``, whose decode stores it points into.
+    ``drive`` and
     ``extra_listeners`` exist for the in-process backends only — a
     custom drive callable and live listeners cannot ship to another
     process, which is why the engine refuses to combine them with the
@@ -245,7 +265,8 @@ def execute_replay(
         runtime.branch_controller = controller
     tracer = BranchTraceListener()
     runtime.add_listener(tracer)
-    collector = DexLegoCollector() if spec.collect else None
+    collector = (DexLegoCollector(interned, spec.known_trees)
+                 if spec.collect else None)
     if collector is not None:
         runtime.add_listener(collector)
     for listener in extra_listeners:
@@ -282,20 +303,26 @@ def execute_replay(
 
 # -- process-pool protocol --------------------------------------------------
 # One hydration per worker (the initializer), one replay per task.  The
-# hydrated APK persists across tasks, so its shared decode stores stay
-# warm for every replay the worker executes — the process-level
-# equivalent of the engine reusing its own APK across a wave.
+# hydrated APK persists across tasks, so its shared decode stores — and
+# the instruction interning table pointing into them — stay warm for
+# every replay the worker executes: the process-level equivalent of the
+# engine reusing its own APK across a run.
 
 _WORKER_APK: Apk | None = None
 _WORKER_SPEC: ReplaySpec | None = None
+_WORKER_INTERNED: dict = {}
 
 
 def _process_worker_init(spec: ReplaySpec) -> None:
-    global _WORKER_APK, _WORKER_SPEC
+    global _WORKER_APK, _WORKER_SPEC, _WORKER_INTERNED
     _WORKER_SPEC = spec
     _WORKER_APK = spec.hydrate()
+    _WORKER_INTERNED = {}
 
 
-def _process_worker_replay(path_json: str) -> TraceDelta:
-    spec = _WORKER_SPEC.with_path(PathFile.from_json(path_json))
-    return execute_replay(spec, apk=_WORKER_APK)
+def _process_worker_replay(path_json: str,
+                           known_trees: frozenset) -> TraceDelta:
+    spec = dataclasses.replace(_WORKER_SPEC,
+                               path=PathFile.from_json(path_json),
+                               known_trees=known_trees)
+    return execute_replay(spec, apk=_WORKER_APK, interned=_WORKER_INTERNED)

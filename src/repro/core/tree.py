@@ -7,10 +7,16 @@ instruction observed at an already-recorded ``dex_pc`` — forks a child
 node (``sm_start``); the child *converges* back to its parent when an
 instruction matching the parent's record reappears (``sm_end``).  Nested
 self-modification simply nests nodes.
+
+A finished tree's identity is its :meth:`CollectionTree.fingerprint`
+(the exact dedup key) and a short :meth:`CollectionTree.digest` of it;
+both are computed once per tree and cached on it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from dataclasses import dataclass
 
 from repro.dex.instructions import Instruction
@@ -27,7 +33,8 @@ class CollectedInstruction:
     type descriptor, field or method signature) — the "related objects"
     the paper collects alongside each instruction, which is what lets the
     offline reassembler re-intern references into a fresh DEX without the
-    original constant pool.
+    original constant pool.  Immutable, so the collector hands one record
+    to every tree that records the same decoded instruction.
     """
 
     dex_pc: int
@@ -38,9 +45,6 @@ class CollectedInstruction:
     @property
     def instruction(self) -> Instruction:
         return Instruction.decode_at(list(self.units), 0)
-
-    def same_ins(self, other_units: tuple[int, ...]) -> bool:
-        return self.units == other_units
 
 
 class TreeNode:
@@ -119,7 +123,7 @@ class TreeNode:
         """Canonical identity used to deduplicate trees across executions."""
         return (
             self.sm_start,
-            tuple((c.dex_pc, c.units, c.payload_units) for c in self.il),
+            tuple([(c.dex_pc, c.units, c.payload_units) for c in self.il]),
             tuple(child.fingerprint() for child in self.children),
         )
 
@@ -140,6 +144,8 @@ class CollectionTree:
         self.outs_size = outs_size
         self.root = TreeNode()
         self.current = self.root
+        self._fingerprint: tuple | None = None
+        self._digest: bytes | None = None
 
     # -- Algorithm 1 ------------------------------------------------------
 
@@ -149,23 +155,24 @@ class CollectionTree:
         dex_pc = collected.dex_pc
         existing = current.lookup(dex_pc)
         if existing is not None:
-            if existing.same_ins(collected.units):
+            if existing.units == collected.units:
                 return  # same instruction at same position: skip
             # Divergence: the instruction at this dex_pc changed.
             child = TreeNode(parent=current, sm_start=dex_pc)
             self.current = child
             self.current.record(collected)
+            self._fingerprint = self._digest = None
             return
         if current.parent is not None:
             parent_existing = current.parent.lookup(dex_pc)
-            if parent_existing is not None and parent_existing.same_ins(
-                collected.units
-            ):
+            if parent_existing is not None and \
+                    parent_existing.units == collected.units:
                 # Convergence: this layer of self-modification ended.
                 current.sm_end = dex_pc
                 self.current = current.parent
                 return
         current.record(collected)
+        self._fingerprint = self._digest = None
 
     # -- stats / serialisation ---------------------------------------------
 
@@ -182,7 +189,39 @@ class CollectionTree:
         return bool(self.root.children)
 
     def fingerprint(self) -> tuple:
-        return (self.method_signature, self.root.fingerprint())
+        """The exact dedup key (:meth:`MethodRecord.add_tree`), built on
+        first use and cached until the tree records another instruction."""
+        if self._fingerprint is None:
+            self._fingerprint = (self.method_signature,
+                                 self.root.fingerprint())
+        return self._fingerprint
+
+    def digest(self) -> bytes:
+        """A 128-bit BLAKE2b digest of the fingerprint.
+
+        Short enough to ship as a set across a process boundary.  With
+        the signature as bytes, the fingerprint holds only bytes, ints,
+        tuples and None, which marshal format 2 encodes canonically (no
+        shared-object references), so equal fingerprints give equal
+        digests in the engine and in every worker it forks.  Digests
+        are never stored.
+        """
+        if self._digest is None:
+            signature, node = self.fingerprint()
+            self._digest = hashlib.blake2b(
+                marshal.dumps((signature.encode(), node), 2),
+                digest_size=16).digest()
+        return self._digest
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CollectionTree):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def __getstate__(self) -> dict:
+        # The cached identity is cheap to rebuild and about as large as
+        # the tree itself, so it never travels.
+        return {**self.__dict__, "_fingerprint": None, "_digest": None}
 
     def to_dict(self) -> dict:
         return {

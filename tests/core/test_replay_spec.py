@@ -9,6 +9,7 @@ worker process dying mid-wave costs exactly that path, never the wave.
 """
 
 import dataclasses
+import json
 import os
 import pickle
 
@@ -125,6 +126,15 @@ class TestTraceDeltaRoundTrip:
                              ids=["empty", "forced", "starved", "lost"])
     def test_dict_round_trip(self, delta):
         assert TraceDelta.from_dict(delta.to_dict()) == delta
+
+    def test_real_delta_json_round_trip(self):
+        # A delta's trees travel as objects; JSON is the one place they
+        # become dicts, and coming back they must equal the originals.
+        apk = _tiny_apk("r.json")
+        delta = execute_replay(ReplaySpec("r.json", b""), apk=apk)
+        assert any(entry["trees"] for entry in delta.collector["methods"])
+        again = TraceDelta.from_dict(json.loads(json.dumps(delta.to_dict())))
+        assert again == delta
 
     def test_budget_starved_replay_produces_a_starved_delta(self):
         # A real starved run, not a hand-built one: the budget dies

@@ -1,5 +1,7 @@
 """Collection tree tests: Algorithm 1 semantics."""
 
+import pickle
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -142,6 +144,31 @@ class TestSerialization:
             t.observe(_ci(0, _CONST_A))
             t.observe(_ci(1, _RET))
         assert t1.fingerprint() == t2.fingerprint()
+
+    def test_digest_ignores_object_sharing(self):
+        # Interned records share one units tuple, decoded or unpickled
+        # ones do not; the digest must not notice either way.
+        t1, t2 = _tree(), _tree()
+        t1.observe(_ci(0, _CONST_A))
+        t1.observe(_ci(1, _RET))
+        t2.observe(_ci(0, tuple(list(_CONST_A))))
+        t2.observe(_ci(1, _RET))
+        assert t1.digest() == t2.digest()
+        again = pickle.loads(pickle.dumps(t1))
+        assert again.fingerprint() == t1.fingerprint()
+        assert again.digest() == t1.digest()
+        other = _tree()
+        other.observe(_ci(0, _CONST_B))
+        assert other.digest() != t1.digest()
+
+    def test_cached_identity_follows_later_observations(self):
+        tree = _tree()
+        tree.observe(_ci(0, _CONST_A))
+        before = tree.digest()
+        tree.observe(_ci(1, _RET))
+        assert tree.digest() != before
+        assert tree.fingerprint() == \
+            CollectionTree.from_dict(tree.to_dict()).fingerprint()
 
     @given(st.lists(st.tuples(st.integers(0, 8),
                               st.sampled_from([_CONST_A, _CONST_B, _CONST_C])),

@@ -3,31 +3,38 @@
 The same benchsuite app is driven twice — once on the fast path
 (predecode cache + opcode-value dispatch + listener fan-out) and once on
 the naive reference interpreter (decode every step, string-mnemonic
-dispatch).  Instruction traces, collector stats, step counts and the
-taint oracle must be identical.  All four self-modifying samples are in
-the corpus: they are exactly the apps whose live-fetch semantics the
-cache could conceivably break.
+dispatch).  Instruction traces, collector stats, the collection files
+byte for byte, step counts and the taint oracle must be identical: the
+reference interpreter is the oracle for the collector too, which
+interns instructions only on the fast path.  All four self-modifying
+samples are in the corpus: they are exactly the apps whose live-fetch
+semantics the cache (and the interning riding on it) could conceivably
+break.
 """
 
 import pytest
 
 from repro.benchsuite import droidbench_samples
-from repro.core import DexLegoCollector
+from repro.core import CollectionArchive, DexLegoCollector
+from repro.core.collection_files import ALL_FILES
 from repro.runtime import AndroidRuntime, AppDriver
 from repro.runtime.hooks import RuntimeListener
 from repro.runtime.interpreter import Interpreter
 
 
 class TraceListener(RuntimeListener):
-    """Records every fetch: (method, pc, mnemonic, operands)."""
+    """Records every fetch: (method, pc, mnemonic, operands), and the
+    distinct (method, pc) pairs of application code the collector saw."""
 
     def __init__(self) -> None:
         self.trace: list[tuple] = []
+        self.app_sites: set[tuple] = set()
 
     def on_instruction(self, frame, dex_pc, ins) -> None:
-        self.trace.append(
-            (frame.method.ref.signature, dex_pc, ins.name, ins.operands)
-        )
+        signature = frame.method.ref.signature
+        self.trace.append((signature, dex_pc, ins.name, ins.operands))
+        if frame.method.declaring_class.source_dex is not None:
+            self.app_sites.add((signature, dex_pc))
 
 
 def _differential_corpus():
@@ -56,9 +63,13 @@ def _drive(sample, fast_path: bool):
         for event in runtime.observed_leaks()
         for tag in event.provenance
     }
+    archive = CollectionArchive.from_collector(collector)
     return {
         "trace": tracer.trace,
         "stats": collector.stats(),
+        "files": {name: archive._payload[name] for name in ALL_FILES},
+        "interned": len(collector.interned),
+        "app_sites": len(tracer.app_sites),
         "steps": runtime.steps,
         "leaks": leaks,
         "crashed": report.crashed,
@@ -71,6 +82,14 @@ def test_fast_path_identical_to_reference(sample):
     reference = _drive(sample, fast_path=False)
     assert fast["trace"] == reference["trace"]
     assert fast["stats"] == reference["stats"]
+    assert fast["files"] == reference["files"]
+    # Interning is bounded by code size: at most one entry per distinct
+    # (method, pc) collected, and none for the reference loop's fresh
+    # per-step decodes.
+    for drive in (fast, reference):
+        assert drive["interned"] <= drive["app_sites"]
+    assert fast["interned"] > 0
+    assert reference["interned"] == 0
     assert fast["steps"] == reference["steps"]
     assert fast["leaks"] == reference["leaks"]
     assert fast["crashed"] == reference["crashed"]
